@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import top_eigenvalue, top_eigenvalues
+from .eigen import top_eigenvalue
 from .errors import InvalidParameterError
 from .models import Model, SynchObservation
 from .rng import spawn_seeds
@@ -22,7 +22,6 @@ __all__ = [
     "DetectorConfig",
     "DetectionVerdict",
     "top_eigenvalue",
-    "top_eigenvalues",
     "max_top_eigenvalue",
     "calibrate_threshold",
     "detect",

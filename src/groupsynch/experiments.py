@@ -4,7 +4,8 @@ A run is fully determined by (config, seed): exact-arithmetic suites
 reproduce byte-identical CSV output on rerun, Monte-Carlo suites reproduce
 exactly as well because every trial seed derives from the config seed.
 Rows are flat dicts; every row carries the config hash and the seed.  The
-manifest records library versions, wall time, and the pass/fail summary.
+manifest records library versions, the bundled OpenBLAS libraries with
+their thread counts, wall time, and the pass/fail summary.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import scipy
 from . import bounds as bounds_mod
 from . import ldlr as ldlr_mod
 from .detect import DetectorConfig, power_curve
+from .eigen import _blas_threads
 from . import models as models_mod
 from .errors import ConfigError, InvalidParameterError, ResourceLimitError
 from .groups import build_catalog
@@ -525,6 +527,7 @@ def run(config: ExperimentConfig) -> RunResult:
             "scipy": scipy.__version__,
             "groupsynch": "0.1.0",
         },
+        "blas": _blas_threads(),
     }
     if config.out_csv:
         write_csv(config.out_csv, rows)

@@ -498,8 +498,9 @@ def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
     omega = sample_overlaps(model, n, samples, seed).values
     powers = np.empty((D + 1, samples))
     powers[0] = 1.0
-    for d in range(1, D + 1):
-        powers[d] = powers[d - 1] * omega / d
+    with np.errstate(over="ignore"):    # overflow is reported just below
+        for d in range(1, D + 1):
+            powers[d] = powers[d - 1] * omega / d
     if not np.isfinite(powers).all():
         raise NumericalOverflowError("overlap powers overflowed; lower D or snr")
     terms = powers.mean(axis=1)

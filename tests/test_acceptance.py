@@ -2,8 +2,9 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or ``-rA``)
 and asserts the same condition, so the suite doubles as a human-readable
-verification report.  Expected wall time for the whole module is dominated
-by the spectral-detection block (about 10-12 minutes on two cores).
+verification report.  The whole module takes about 4 minutes on two cores,
+3.3 of them in the BBP detection check (test 06), where sampling the
+order-2000 observations dominates.
 """
 import math
 import time

@@ -28,6 +28,13 @@ def test_top_eigenvalue_rejects_non_hermitian():
         top_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, value", [(3, np.nan), (3, np.inf), (300, np.nan)])
+def test_top_eigenvalue_rejects_non_finite(n, value):
+    with pytest.raises(InvalidParameterError):
+        top_eigenvalue(np.full((n, n), value))
+
+
 def test_top_eigenvalue_matches_dense_on_large_matrix():
     rng = make_rng(2, 0)
     a = rng.standard_normal((400, 400))
@@ -61,6 +68,13 @@ def test_calibrate_alpha_limit_is_minimum():
     config2 = DetectorConfig(alpha=0.5, calibration_trials=50)
     thr2 = calibrate_threshold(model, 60, config2, seed=5)
     assert thr <= thr2
+
+
+def test_calibrated_threshold_is_pinned():
+    # the value computed before eigen ran its BLAS on one thread
+    thr = calibrate_threshold(Model("cyclic", L=2), 60,
+                              DetectorConfig(calibration_trials=50), seed=5)
+    assert thr == 2.0732626096527684
 
 
 def test_more_frequencies_raise_threshold():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from groupsynch.eigen import _blas_threads
 from groupsynch.errors import ConfigError
 from groupsynch.experiments import (ExperimentConfig, run,
                                     stat_threshold_lower_bound,
@@ -52,6 +53,7 @@ def test_oracle_suite_passes(tmp_path):
     assert manifest["config_hash"] == cfg.hash()
     assert manifest["rows"] == len(result.rows)
     assert "numpy" in manifest["versions"]
+    assert manifest["blas"] == _blas_threads()
     text = (tmp_path / "r.csv").read_bytes().decode()
     assert text.count("\r\n") >= len(result.rows)
     assert all("config_hash" in row and "seed" in row for row in result.rows)

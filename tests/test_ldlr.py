@@ -367,6 +367,7 @@ def test_sample_overlaps_weights():
     assert ov.beta_weights[-1] == ("spin", 2, 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mc_overflow_detected():
     from groupsynch.errors import NumericalOverflowError
     with pytest.raises(NumericalOverflowError):
