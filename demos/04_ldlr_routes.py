@@ -1,7 +1,8 @@
 """Four routes to the degree-D likelihood-ratio second moment, cross-checked.
 
-The exact multinomial route enumerates occupancy counts; the brute-force
-route enumerates every signal assignment; the tuple-count route counts
+The exact multinomial route sums over the law of the squared occupancy
+counts, built cell by cell; the brute-force route enumerates every signal
+assignment; the tuple-count route counts
 vanishing index families; the Monte-Carlo route averages the overlap
 series.  Where two routes compute the same model they agree to rational
 exactness or within Monte-Carlo error.

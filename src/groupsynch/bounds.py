@@ -35,11 +35,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .ldlr import _count_vectors
+from .ldlr import ldlr_exact_multinomial
 
 __all__ = [
     "BoundCheck",
@@ -168,23 +167,22 @@ def check_l3_moment_bound(n: int, d_max: int, budget: int = 10 ** 7):
 
     Returns one :class:`BoundCheck` per degree 1..d_max.  Degree 0 is
     excluded (the right side degenerates to 0 there).  Outside the moment
-    regime d^3 <= n the rows are still computed but flagged.
+    regime d^3 <= n the rows are still computed but flagged.  With the LDLR
+    terms at lam = 1, t_d = E s^d / (n^d d!), the check is t_d <= 8 d^2.
     """
     if d_max < 1:
         raise InvalidParameterError("d_max must be >= 1")
+    terms = ldlr_exact_multinomial(3, n, 1.0, d_max, budget=budget).terms
     if d_max ** 3 > n:
         warnings.warn("degree range leaves the d^3 <= n regime; rows are flagged",
                       RuntimeWarning, stacklevel=2)
-    vectors = _count_vectors(3, n, budget)
-    s = 0.5 * (3 * (vectors * vectors).sum(axis=1) - n * n).astype(np.float64)
-    logw = gammaln(n + 1) - gammaln(vectors + 1.0).sum(axis=1) - n * np.log(3.0)
-    pos = s > 0
     rows = []
     for d in range(1, d_max + 1):
-        log_esd = float(logsumexp(logw[pos] + d * np.log(s[pos])))
-        log_rhs = math.log(8.0) + d * math.log(n) + 2 * math.log(d) + gammaln(d + 1)
-        rows.append(BoundCheck(math.exp(log_esd), math.exp(log_rhs),
-                               log_esd <= log_rhs,
+        log_fact = math.log(math.factorial(d))
+        log_lhs = math.log(terms[d]) + d * math.log(n) + log_fact
+        log_rhs = math.log(8.0) + d * math.log(n) + 2 * math.log(d) + log_fact
+        rows.append(BoundCheck(math.exp(log_lhs), math.exp(log_rhs),
+                               terms[d] <= 8 * d * d,
                                {"n": n, "d": d, "in_regime": d ** 3 <= n,
-                                "log_lhs": log_esd, "log_rhs": log_rhs}))
+                                "log_lhs": log_lhs, "log_rhs": log_rhs}))
     return rows

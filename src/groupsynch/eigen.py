@@ -96,8 +96,8 @@ def _single_thread_blas():
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InvalidParameterError("matrix must be square")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+        raise InvalidParameterError("matrix must be square and nonempty")
     with np.errstate(invalid="ignore"):     # Inf - Inf gives NaN
         err = np.abs(h - h.conj().T).max()
     # written so that a NaN deviation, from NaN or Inf entries, also fails

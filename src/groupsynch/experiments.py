@@ -474,7 +474,7 @@ def _run_phase_diagram(cfg: ExperimentConfig):
                                                       budget=budget)
                 row["ldlr_method"] = "exact"
             except ResourceLimitError:
-                # count-vector enumeration outgrows the budget for large L;
+                # the count vectors C(n+L-1, L-1) outgrow the budget for large L;
                 # fall back to the Monte-Carlo overlap route
                 model = models_mod.Model("cyclic", L=L, snr=snr)
                 rep = ldlr_mod.ldlr_montecarlo_overlap(model, p["n"], D,

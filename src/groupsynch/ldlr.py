@@ -21,8 +21,8 @@ multinomial law of the counts.  Two count statistics appear:
 
 Routes:
 
-  * :func:`ldlr_exact_multinomial` enumerates count vectors (exact
-    rationals or compensated log-space floats);
+  * :func:`ldlr_exact_multinomial` sums over the law of Q = sum n_g^2, the
+    only way both statistics depend on the counts (rationals or log floats);
   * :func:`ldlr_bruteforce_signals` enumerates all L^n signal assignments
     (the independent oracle for the multinomial route);
   * :func:`ldlr_from_md` counts zero-sum index tuples, which fixes the
@@ -66,6 +66,7 @@ __all__ = [
     "polylog_neg",
 ]
 
+# Largest C(n+L-1, L-1) (count vectors) the multinomial route accepts
 DEFAULT_BUDGET = 10 ** 7
 
 
@@ -193,97 +194,93 @@ def moment_table(L: int, n: int, D: int, exact: bool = False,
     """Exact moments of the count statistic under the multinomial law."""
     rep = ldlr_exact_multinomial(L, n, 1.0, D, exact=exact, statistic=statistic,
                                  budget=budget)
-    scale = Fraction(1) if exact else 1.0
-    moments = [scale * 1]
-    for d in range(1, D + 1):
-        factor = (Fraction(n) ** d * math.factorial(d)) if exact \
-            else float(n) ** d * math.factorial(d)
-        moments.append(rep.terms[d] * factor)
-    return MomentTable(tuple(moments), L, n, statistic)
+    num = Fraction(n) if exact else float(n)
+    moments = tuple(t * (num ** d * math.factorial(d)) for d, t in enumerate(rep.terms))
+    return MomentTable(moments, L, n, statistic)
 
 
 # ---------------------------------------------------------------------------
 # Exact multinomial route
 # ---------------------------------------------------------------------------
 
-def _count_vectors(L: int, n: int, budget: int) -> np.ndarray:
-    total = math.comb(n + L - 1, L - 1)
-    if total > budget:
-        raise ResourceLimitError(
-            f"{total} count vectors exceed the budget of {budget}")
-    bars = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(n + L - 1), L - 1)),
-        dtype=np.int64, count=total * (L - 1)).reshape(total, L - 1)
-    edges = np.empty((total, L + 1), dtype=np.int64)
-    edges[:, 0] = -1
-    edges[:, 1:L] = bars
-    edges[:, L] = n + L - 1
-    return np.diff(edges, axis=1) - 1
+def _check_route_args(L: int, n: int, lam, D: int, min_L: int = 2) -> None:
+    if L < min_L or n < 1 or D < 0 or not 0 <= float(lam) < math.inf:
+        raise InvalidParameterError(f"need L >= {min_L}, n >= 1, D >= 0, finite lam >= 0")
 
 
-def _lam_pow(lam, d, exact):
+def _occupancy_law(L: int, n: int, exact: bool):
+    """Distinct values of Q = sum_g n_g^2 over the L^n assignments, with weights:
+    integer counts of assignments if ``exact``, else log-probabilities.
+
+    A dynamic programme over cells with state (mass used m, partial Q); each
+    cell expands every state over its count c = 0..n-m (the last takes n-m)
+    and equal states merge.  No array exceeds C(n+L-1, L-1) entries.
+    """
     if exact:
-        return Fraction(lam) ** (2 * d)
-    return float(lam) ** (2 * d)
+        binomial = np.frompyfunc(math.comb, 2, 1)
+        weight, merge = np.array([1], dtype=object), np.add
+    else:
+        log_fact = gammaln(np.arange(n + 1) + 1.0)
+        weight, merge = np.full(1, -n * np.log(L)), np.logaddexp
+    mass = q = np.zeros(1, dtype=np.int64)
+    for cell in range(L):
+        rest = n - mass
+        if cell == L - 1:
+            mass, q = mass + rest, q + rest * rest
+        else:
+            src = np.repeat(np.arange(len(mass)), rest + 1)
+            c = np.arange(len(src)) - np.repeat(np.cumsum(rest + 1) - rest - 1, rest + 1)
+            r = rest[src]
+            if exact:
+                weight = weight[src] * binomial(r, c)
+            else:
+                weight = weight[src] + (log_fact[r] - log_fact[c] - log_fact[r - c])
+            mass, q = mass[src] + c, q[src] + c * c
+        order = np.lexsort((q, mass))
+        mass, q = mass[order], q[order]
+        starts = np.flatnonzero((np.diff(mass, prepend=-1) != 0) | (np.diff(q, prepend=-1) != 0))
+        weight = merge.reduceat(weight[order], starts)
+        mass, q = mass[starts], q[starts]
+    return q, weight
 
 
 def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
                            statistic: str = "pearson",
                            budget: int = DEFAULT_BUDGET) -> LdlrReport:
-    """Terms t_d = lam^(2d) / (n^d d!) * E[s^d] by count-vector enumeration.
+    """Terms t_d = lam^(2d) / (n^d d!) * E[s^d] over the law of Q = sum n_g^2.
 
-    ``exact=True`` uses big rationals throughout (multinomial weights
-    n! / (prod n_g!) / L^n); the float path evaluates log(weight * s^d)
-    per vector and reduces with log-sum-exp, so large n and d stay finite.
+    ``exact=True`` uses big rationals; the float path reduces log(p * s^d)
+    with log-sum-exp, so large n and d stay finite.  ``budget`` caps the
+    count vectors C(n+L-1, L-1), which bound the law's largest array.
     """
     _check_statistic(statistic)
-    if L < 2 or n < 1 or D < 0 or float(lam) < 0:
-        raise InvalidParameterError("need L >= 2, n >= 1, D >= 0, lam >= 0")
-    vectors = _count_vectors(L, n, budget)
+    _check_route_args(L, n, lam, D)
+    total = math.comb(n + L - 1, L - 1)
+    if total > budget:
+        raise ResourceLimitError(f"{total} count vectors exceed the budget of {budget}")
+    q, weight = _occupancy_law(L, n, exact)
     params = {"L": L, "n": n, "lam": float(lam), "D": D, "statistic": statistic,
               "exact": exact}
 
+    # Q <= n^2, so 2s stays exact in int64
+    twice_s = L * q - n * n if statistic == "pearson" else 2 * L * q
     if exact:
-        twice_s = [_twice_stat(v, L, statistic) for v in vectors]
-        weights = []
-        for v in vectors:
-            coeff = 1
-            rem = n
-            for c in v[:-1]:
-                coeff *= math.comb(rem, int(c))
-                rem -= int(c)
-            weights.append(Fraction(coeff, L ** n))
-        terms = [Fraction(1)]
-        moment = [Fraction(1)] * len(vectors)
-        for d in range(1, D + 1):
-            moment = [m * Fraction(int(t), 2) for m, t in zip(moment, twice_s)]
-            e_sd = sum(w * m for w, m in zip(weights, moment))
-            terms.append(_lam_pow(lam, d, True) * e_sd
-                         / (Fraction(n) ** d * math.factorial(d)))
-        return LdlrReport(tuple(terms), "exact-multinomial", params)
+        twice_s = twice_s.astype(object)
+        terms = tuple(Fraction(lam) ** (2 * d) * Fraction(
+            int((weight * twice_s ** d).sum()), 2 ** d * L ** n * n ** d * math.factorial(d))
+            for d in range(D + 1))
+        return LdlrReport(terms, "exact-multinomial", params)
 
-    vals = vectors.astype(np.float64)
-    logw = (gammaln(n + 1) - gammaln(vals + 1).sum(axis=1) - n * np.log(L))
-    # counts are <= n <= 1e4ish, so the integer statistic stays exact in int64
-    q = L * (vectors * vectors).sum(axis=1)
-    s = (0.5 * (q - n * n) if statistic == "pearson" else q).astype(np.float64)
-    pos = s > 0
-    logs = np.log(s[pos])
-    logw_pos = logw[pos]
+    pos = twice_s > 0      # never empty: all mass in one cell gives s > 0
+    logs, logw = np.log(0.5 * twice_s[pos]), weight[pos]
     lam = float(lam)
     terms = [1.0]
     for d in range(1, D + 1):
-        if not pos.any():
-            terms.append(0.0)
-            continue
-        log_e_sd = logsumexp(logw_pos + d * logs)
         log_td = (2 * d * np.log(lam) if lam > 0 else -np.inf) \
-            + log_e_sd - d * np.log(n) - gammaln(d + 1)
+            + logsumexp(logw + d * logs) - d * np.log(n) - gammaln(d + 1)
         td = float(np.exp(log_td))
         if not np.isfinite(td):
-            raise NumericalOverflowError(
-                f"term {d} overflowed; rerun with exact=True")
+            raise NumericalOverflowError(f"term {d} overflowed; rerun with exact=True")
         terms.append(td)
     return LdlrReport(tuple(terms), "exact-multinomial", params)
 
@@ -302,8 +299,7 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
     multinomial weights it is used to check.
     """
     _check_statistic(statistic)
-    if L < 2 or n < 1 or D < 0 or float(lam) < 0:
-        raise InvalidParameterError("need L >= 2, n >= 1, D >= 0, lam >= 0")
+    _check_route_args(L, n, lam, D)
     total = L ** n
     if total > budget:
         raise ResourceLimitError(f"{total} assignments exceed the budget of {budget}")
@@ -323,7 +319,7 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
     terms = [Fraction(1) if exact else 1.0]
     for d in range(1, D + 1):
         e_sd = Fraction(sums[d], 2 ** d * total)
-        td = _lam_pow(lam, d, True) * e_sd / (Fraction(n) ** d * math.factorial(d))
+        td = Fraction(lam) ** (2 * d) * e_sd / (Fraction(n) ** d * math.factorial(d))
         terms.append(td if exact else float(td))
     return LdlrReport(tuple(terms), "brute-force", params)
 
@@ -403,11 +399,12 @@ def ldlr_from_md(prior: str, L: int, n: int, lam, D: int, exact: bool = False,
     likelihood-ratio projection with L frequency channels.  For the cyclic
     prior it equals the ``all_frequencies`` multinomial route, term by term.
     """
+    _check_route_args(L, n, lam, D, min_L=1)
     counts = [md_count(prior, L, n, d, budget) for d in range(D + 1)]
     params = {"L": L, "n": n, "lam": float(lam), "D": D, "prior": prior}
     terms = []
     for d, c in enumerate(counts):
-        td = _lam_pow(lam, d, True) * c / (Fraction(n) ** d * math.factorial(d))
+        td = Fraction(lam) ** (2 * d) * c / (Fraction(n) ** d * math.factorial(d))
         terms.append(td if exact else float(td))
     return LdlrReport(tuple(terms), "md-count", params)
 

@@ -154,6 +154,11 @@ def test_l3_degree_zero_excluded():
         check_l3_moment_bound(100, 0)
 
 
+def test_l3_rejects_empty_sample():
+    with pytest.raises(InvalidParameterError):
+        check_l3_moment_bound(0, 1)
+
+
 def test_l3_matches_exact_multinomial_moment():
     from groupsynch.ldlr import ldlr_exact_multinomial
     n = 40

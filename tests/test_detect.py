@@ -29,10 +29,13 @@ def test_top_eigenvalue_rejects_non_hermitian():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n, value", [(3, np.nan), (3, np.inf), (300, np.nan)])
+@pytest.mark.parametrize("n, value", [(3, np.nan), (3, np.inf), (300, np.nan),
+                                      (0, 0.0)])
 def test_top_eigenvalue_rejects_non_finite(n, value):
-    with pytest.raises(InvalidParameterError):
-        top_eigenvalue(np.full((n, n), value))
+    # n = 0: an empty matrix is rejected too, by both solvers
+    for solver in (top_eigenvalue, lambda h: top_eigenvalues(h, 1)):
+        with pytest.raises(InvalidParameterError):
+            solver(np.full((n, n), value))
 
 
 def test_top_eigenvalue_matches_dense_on_large_matrix():

@@ -122,16 +122,34 @@ def test_bruteforce_l2_n2_first_moment():
 
 
 def test_exact_vs_bruteforce_rational():
-    for L, n in ((2, 6), (3, 4), (4, 3)):
-        a = ldlr_exact_multinomial(L, n, 0.9, 3, exact=True)
-        b = ldlr_bruteforce_signals(L, n, 0.9, 3, exact=True)
-        assert a.terms == b.terms
+    for L, n in ((2, 6), (3, 4), (4, 3), (5, 6), (6, 5), (7, 4)):
+        for statistic in ("pearson", "all_frequencies"):
+            a = ldlr_exact_multinomial(L, n, 0.9, 3, exact=True, statistic=statistic)
+            b = ldlr_bruteforce_signals(L, n, 0.9, 3, exact=True, statistic=statistic)
+            assert a.terms == b.terms, (L, n, statistic)
 
 
 def test_exact_vs_bruteforce_float_example():
     a = ldlr_exact_multinomial(3, 4, 0.9, 3)
     b = ldlr_bruteforce_signals(3, 4, 0.9, 3, exact=False)
     assert max(abs(x - y) for x, y in zip(a.terms, b.terms)) < 1e-9
+    # the log-space float path against the rational one, beyond brute force
+    for L, n, D in ((7, 16, 2), (3, 100, 8)):
+        f = ldlr_exact_multinomial(L, n, 0.9, D)
+        r = ldlr_exact_multinomial(L, n, 0.9, D, exact=True)
+        assert all(x == pytest.approx(float(y), rel=1e-12)
+                   for x, y in zip(f.terms, r.terms)), (L, n, D)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
+def test_exact_routes_reject_bad_snr(lam):
+    for route in (lambda: ldlr_exact_multinomial(3, 5, lam, 2),
+                  lambda: ldlr_exact_multinomial(3, 5, lam, 2, exact=True),
+                  lambda: ldlr_bruteforce_signals(3, 5, lam, 2),
+                  lambda: ldlr_from_md("cyclic", 3, 2, lam, 2),
+                  lambda: ldlr_from_md("circle", 1, 2, lam, 2)):
+        with pytest.raises(InvalidParameterError):
+            route()
 
 
 def test_enumeration_budget_enforced():
