@@ -29,7 +29,7 @@ Routes:
     moments of the ``all_frequencies`` statistic without touching the
     multinomial law (and is the exact route for the circle prior);
   * :func:`ldlr_montecarlo_overlap` averages the overlap series over
-    sampled signals and reports a bootstrap standard error.
+    sampled signals and reports the standard error of each mean.
 """
 from __future__ import annotations
 
@@ -217,7 +217,6 @@ def _occupancy_law(L: int, n: int, exact: bool):
     and equal states merge.  No array exceeds C(n+L-1, L-1) entries.
     """
     if exact:
-        binomial = np.frompyfunc(math.comb, 2, 1)
         weight, merge = np.array([1], dtype=object), np.add
     else:
         log_fact = gammaln(np.arange(n + 1) + 1.0)
@@ -231,8 +230,12 @@ def _occupancy_law(L: int, n: int, exact: bool):
             src = np.repeat(np.arange(len(mass)), rest + 1)
             c = np.arange(len(src)) - np.repeat(np.cumsum(rest + 1) - rest - 1, rest + 1)
             r = rest[src]
-            if exact:
-                weight = weight[src] * binomial(r, c)
+            if exact:   # one row C(k, 0..k) per distinct k, by the multiplicative recurrence
+                rows = {k: list(itertools.accumulate(
+                    range(k), lambda b, j, k=k: b * (k - j) // (j + 1), initial=1))
+                    for k in set(rest.tolist())}
+                weight = weight[src] * np.fromiter(itertools.chain.from_iterable(
+                    rows[k] for k in rest.tolist()), dtype=object, count=len(src))
             else:
                 weight = weight[src] + (log_fact[r] - log_fact[c] - log_fact[r - c])
             mass, q = mass[src] + c, q[src] + c * c
@@ -413,14 +416,15 @@ def ldlr_from_md(prior: str, L: int, n: int, lam, D: int, exact: bool = False,
 # Monte-Carlo overlap route
 # ---------------------------------------------------------------------------
 
-def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts) -> float:
+def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts):
     """Overlap statistic via irrep matrices: sum_rho (beta_rho d_rho / 2) *
     ||sum_g n_g rho(g)||_F^2 over a nonredundant list.
 
     ``beta`` is 1 for real type and 2 otherwise; ``d_rho`` is the model
     dimension.  For every finite group this equals the ``pearson`` count
     statistic, which the tests exercise as a consistency check between the
-    representation-based and count-based evaluations.
+    representation-based and count-based evaluations.  ``counts`` may be a
+    (..., order) batch; a single count vector gives a float.
     """
     if irreps.mode != "nonredundant":
         raise InvalidParameterError("overlap expects a nonredundant irrep list")
@@ -428,9 +432,9 @@ def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts) -> float:
     total = 0.0
     for irrep in irreps:
         beta = 1.0 if irrep.type_tag == "real" else 2.0
-        fhat = np.tensordot(counts, irrep.matrices, axes=(0, 0))
-        total += 0.5 * beta * irrep.model_dim * float((np.abs(fhat) ** 2).sum())
-    return total
+        fhat = np.tensordot(counts, irrep.matrices, axes=(-1, 0))
+        total = total + 0.5 * beta * irrep.model_dim * (np.abs(fhat) ** 2).sum(axis=(-2, -1))
+    return float(total) if counts.ndim == 1 else total
 
 
 @dataclass(frozen=True)
@@ -465,54 +469,48 @@ def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> OverlapSam
     elif model.kind == "cyclic":
         u = rng.integers(0, model.L, size=(samples, n))
         counts = np.stack([(u == g).sum(axis=1) for g in range(model.L)], axis=1)
-        stat = 0.5 * (model.L * (counts.astype(float) ** 2).sum(axis=1)
-                      - float(n) ** 2)
+        stat = 0.5 * (model.L * (counts.astype(float) ** 2).sum(axis=1) - float(n) ** 2)
         weights = tuple((f"freq-{ell}", 1 if (2 * ell) % model.L == 0 else 2, 1)
                         for ell in range(1, model.L // 2 + 1))
     else:
         order = model.group.order
         u = rng.integers(0, order, size=(samples, n))
         counts = np.stack([(u == g).sum(axis=1) for g in range(order)], axis=1)
-        stat = np.array([group_overlap_stat(model.group, model.irreps, c)
-                         for c in counts])
+        stat = group_overlap_stat(model.group, model.irreps, counts)
         weights = tuple((r.name, 1 if r.type_tag == "real" else 2, r.model_dim)
                         for r in model.irreps)
     return OverlapSample(lam2_over_n * stat, weights, model.describe(), n)
 
 
 def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
-                            seed=None, bootstrap: int = 200) -> LdlrReport:
+                            seed=None) -> LdlrReport:
     """Monte-Carlo estimate of the degree-<=D second moment with its error.
 
     Averages sum_d omega^d / d! over the overlaps of :func:`sample_overlaps`.
-    ``stderr`` holds a bootstrap standard error per degree plus the
-    cumulative one in the last slot.
+    ``stderr`` holds the standard error of the mean, std(ddof=1) / sqrt(samples),
+    of each degree's term plus that of the cumulative sum in the last slot.
+    Memory is O(samples * (n + D)).
     """
-    if samples < 100:
-        raise InvalidParameterError("need at least 100 samples")
-    if D < 0:
-        raise InvalidParameterError("D must be >= 0")
+    if samples < 100 or D < 0:
+        raise InvalidParameterError("need at least 100 samples and D >= 0")
     omega = sample_overlaps(model, n, samples, seed).values
-    powers = np.empty((D + 1, samples))
+    # omega >= 0: each product below is at most max(omega)^d / (d-1)!, and the
+    # variance sums `samples` squares of sums of D+1 of them: check in log space
+    log_top = math.log(omega.max()) if omega.max() > 0 else -math.inf
+    log_power = max([0.0] + [d * log_top - math.lgamma(d) for d in range(1, D + 1)])
+    if 2 * (log_power + math.log(D + 1)) + math.log(samples) >= math.log(np.finfo(float).max):
+        raise NumericalOverflowError("overlap powers overflow; lower D or snr")
+    powers = np.empty((D + 2, samples))     # degrees 0..D, then their sum
     powers[0] = 1.0
-    with np.errstate(over="ignore"):    # overflow is reported just below
-        for d in range(1, D + 1):
-            powers[d] = powers[d - 1] * omega / d
-    if not np.isfinite(powers).all():
-        raise NumericalOverflowError("overlap powers overflowed; lower D or snr")
-    terms = powers.mean(axis=1)
-    totals = powers.sum(axis=0)
-
-    boot_rng = make_rng(seed, 72)
-    idx = boot_rng.integers(0, samples, size=(bootstrap, samples))
-    boot_terms = powers[:, idx].mean(axis=2)        # (D+1, bootstrap)
-    boot_cum = totals[idx].mean(axis=1)             # (bootstrap,)
-    stderr = tuple(boot_terms.std(axis=1, ddof=1)) + (float(boot_cum.std(ddof=1)),)
+    for d in range(1, D + 1):
+        powers[d] = powers[d - 1] * omega / d
+    powers[-1] = powers[:-1].sum(axis=0)
+    stderr = tuple(float(e) for e in powers.std(axis=1, ddof=1) / math.sqrt(samples))
 
     params = {"model": model.describe(), "n": n, "lam": model.snr, "D": D,
               "samples": samples}
-    return LdlrReport(tuple(float(t) for t in terms), "monte-carlo", params,
-                      stderr=stderr)
+    return LdlrReport(tuple(float(t) for t in powers[:-1].mean(axis=1)), "monte-carlo",
+                      params, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------

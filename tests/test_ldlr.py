@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,7 @@ from groupsynch.ldlr import (LdlrReport, all_freq_stat, bound_polylog,
                              first_moment_via_binomial, group_overlap_stat,
                              ldlr_bruteforce_signals, ldlr_exact_multinomial,
                              ldlr_from_md, ldlr_montecarlo_overlap, md_count,
-                             polylog_neg, s_stat)
+                             polylog_neg, s_stat, sample_overlaps)
 from groupsynch.models import Model
 
 
@@ -139,6 +140,16 @@ def test_exact_vs_bruteforce_float_example():
         r = ldlr_exact_multinomial(L, n, 0.9, D, exact=True)
         assert all(x == pytest.approx(float(y), rel=1e-12)
                    for x, y in zip(f.terms, r.terms)), (L, n, D)
+
+
+def test_exact_rational_two_cells_against_binomial_sum():
+    # L = 2: 2s = (n_0 - n_1)^2, so E[(2s)^d] = sum_k C(n, k) (2k - n)^(2d) / 2^n
+    n, D = 1200, 3
+    rep = ldlr_exact_multinomial(2, n, 1.0, D, exact=True)
+    for d in range(D + 1):
+        moment = Fraction(sum(math.comb(n, k) * (2 * k - n) ** (2 * d) for k in range(n + 1)),
+                          2 ** (n + d))
+        assert rep.terms[d] == moment / (Fraction(n) ** d * math.factorial(d)), d
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
@@ -286,6 +297,30 @@ def test_mc_group_route_quaternionic():
     assert abs(mc.cumulative - float(ex.cumulative)) <= 3 * mc.stderr[-1]
 
 
+def test_mc_stderr_is_standard_error_of_the_mean():
+    model, n, D, samples = Model("cyclic", L=4, snr=0.7), 15, 3, 2000
+    rep = ldlr_montecarlo_overlap(model, n, D, samples, seed=11)
+    omega = sample_overlaps(model, n, samples, seed=11).values
+    totals = [math.fsum(w ** d / math.factorial(d) for d in range(D + 1)) for w in omega]
+    mean = math.fsum(totals) / samples
+    se = math.sqrt(math.fsum((t - mean) ** 2 for t in totals) / (samples - 1) / samples)
+    assert rep.stderr[-1] == pytest.approx(se, rel=1e-12)
+    assert rep.cumulative == pytest.approx(mean, rel=1e-12)
+    assert len(rep.stderr) == D + 2
+
+
+def test_mc_memory_is_linear_in_samples():
+    # the draws take samples * n int64 entries; no (D+1) x resamples x samples array
+    model, n, D, samples = Model("cyclic", L=3, snr=0.9), 50, 4, 10 ** 5
+    tracemalloc.start()
+    try:
+        ldlr_montecarlo_overlap(model, n, D, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * samples * (n + D) * 8
+
+
 def test_mc_requires_min_samples():
     with pytest.raises(InvalidParameterError):
         ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=0.5), 10, 2, 50, seed=0)
@@ -301,6 +336,20 @@ def test_group_overlap_equals_count_statistic(name):
         counts = rng.multinomial(23, [1 / group.order] * group.order)
         got = group_overlap_stat(group, nr, counts)
         assert got == pytest.approx(float(s_stat(counts)), abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["cyclic(6)", "dihedral(3)", "dihedral(4)",
+                                  "quaternion8"])
+def test_group_overlap_batched_equals_rowwise(name):
+    group, full = build_catalog(name)
+    nr = full.nonredundant()
+    counts = np.random.default_rng(8).multinomial(23, [1 / group.order] * group.order,
+                                                  size=40)
+    got = group_overlap_stat(group, nr, counts)
+    want = np.array([group_overlap_stat(group, nr, c) for c in counts])
+    assert got.shape == (40,)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert group_overlap_stat(group, nr, counts.reshape(4, 10, -1)).shape == (4, 10)
 
 
 def test_all_freq_stat_identity():
@@ -390,3 +439,11 @@ def test_mc_overflow_detected():
     from groupsynch.errors import NumericalOverflowError
     with pytest.raises(NumericalOverflowError):
         ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=1e100), 10, 3, 200, seed=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mc_overflow_in_stderr_detected():
+    # the powers stay finite near 1e200, but their variance would not
+    from groupsynch.errors import NumericalOverflowError
+    with pytest.raises(NumericalOverflowError):
+        ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=1e50), 10, 2, 200, seed=0)
