@@ -3,7 +3,8 @@
 Subcommands: simulate, sample-ensemble, ldlr, detect, power, md-count,
 bounds, suite, phase-diagram.  Exit codes: 0 success, 1 a suite assertion
 failed, 2 configuration error.  The environment variable
-``GROUPSYNCH_BUDGET`` overrides the default enumeration budget.
+``GROUPSYNCH_BUDGET``, a positive integer, overrides the default enumeration
+budget.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ from .detect import (DetectorConfig, calibrate_threshold, detect as run_detect,
 from . import models as models_mod
 from .ensembles import EnsembleKind, sample
 from .errors import ConfigError, GroupsynchError
-from .experiments import ExperimentConfig, run, write_csv
-from .groups import build_catalog
+from .experiments import ExperimentConfig, _model_from_name, run, write_csv
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -30,7 +30,11 @@ EXIT_CONFIG = 2
 
 
 def _budget(default: int = ldlr_mod.DEFAULT_BUDGET) -> int:
-    return int(os.environ.get("GROUPSYNCH_BUDGET", default))
+    raw = os.environ.get("GROUPSYNCH_BUDGET", str(default))
+    budget = int(raw) if raw.strip().isdecimal() else 0
+    if budget < 1:
+        raise ConfigError("GROUPSYNCH_BUDGET", "must be a positive integer")
+    return budget
 
 
 def _matrix_to_json(m: np.ndarray):
@@ -72,27 +76,15 @@ def _write_json(path, payload) -> None:
             fh.write(text + "\n")
 
 
-def _parse_model(args) -> models_mod.Model:
-    snr = args.snr[0] if len(args.snr) == 1 else 0.0
-    if args.model == "circle":
-        return models_mod.Model("circle", L=args.L, snr=snr)
-    if args.model == "cyclic":
-        return models_mod.Model("cyclic", L=args.L, snr=snr)
-    group, full = build_catalog(args.group)
-    return models_mod.Model("group", snr=snr, group=group,
-                            irreps=full.nonredundant())
-
-
 def _cmd_simulate(args) -> int:
-    if args.model == "circle":
-        obs = models_mod.sample_gsynch_circle(args.L, args.snr, args.n, args.seed)
-    elif args.model == "cyclic":
-        lam = args.snr if len(args.snr) > 1 else args.snr[0]
-        obs = models_mod.sample_gsynch_cyclic(args.L, lam, args.n, args.seed)
+    model = _model_from_name(args.group if args.model == "group" else args.model,
+                             args.L, 0.0)
+    if model.kind == "circle":
+        obs = models_mod.sample_gsynch_circle(model.L, args.snr, args.n, args.seed)
+    elif model.kind == "cyclic":
+        obs = models_mod.sample_gsynch_cyclic(model.L, args.snr, args.n, args.seed)
     else:
-        group, full = build_catalog(args.group)
-        lam = args.snr if len(args.snr) > 1 else args.snr[0]
-        obs = models_mod.sample_gsynch_group(group, full.nonredundant(), lam,
+        obs = models_mod.sample_gsynch_group(model.group, model.irreps, args.snr,
                                              args.n, args.seed)
     _write_json(args.out, _obs_to_json(obs))
     return EXIT_OK
@@ -146,8 +138,8 @@ def _cmd_ldlr(args) -> int:
 
 
 def _cmd_md_count(args) -> int:
-    counts = [ldlr_mod.md_count(args.prior, args.L, args.n, d,
-                                _budget(ldlr_mod.MD_BUDGET))
+    budget = _budget(ldlr_mod.MD_BUDGET)
+    counts = [ldlr_mod.md_count(args.prior, args.L, args.n, d, budget)
               for d in range(args.D + 1)]
     _write_json(args.out, {"prior": args.prior, "L": args.L, "n": args.n,
                            "counts": counts})
@@ -180,7 +172,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    model = _parse_model(args)
+    model = _model_from_name(args.group if args.model == "group" else args.model,
+                             args.L, 0.0)
     config = DetectorConfig(alpha=args.alpha,
                                        calibration_trials=args.calib_trials)
     rows = power_curve(model, args.n, _parse_grid(args.snr_grid),
@@ -335,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help=".csv path or JSON to stdout")
-    p.set_defaults(func=_cmd_power, snr=[0.0])
+    p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("bounds", help="run one of the moment-inequality checks")
     p.add_argument("--which", choices=("clt", "t-recursion", "l3", "all"),

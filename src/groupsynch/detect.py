@@ -35,15 +35,12 @@ class DetectorConfig:
     alpha: float = 0.05
     calibration_trials: int = 100
     eigen_tol: float = 1e-8
-    aggregation: str = "max-over-frequencies"
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise InvalidParameterError("significance level must lie in (0, 1)")
         if self.calibration_trials < 50:
             raise InvalidParameterError("need at least 50 calibration trials")
-        if self.aggregation != "max-over-frequencies":
-            raise InvalidParameterError(f"unknown aggregation {self.aggregation!r}")
 
 
 @dataclass(frozen=True)

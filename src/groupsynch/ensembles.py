@@ -82,23 +82,21 @@ def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_gse(n: int, rng: np.random.Generator) -> np.ndarray:
-    """2n x 2n Hermitian matrix of quaternionic blocks."""
+    """2n x 2n Hermitian matrix of quaternionic blocks.
+
+    One draw of n + 2n(n-1) normals, read row by row: a_i, then four
+    coefficients for each block (i, j > i), as a per-row loop would draw them.
+    """
+    per_row = 1 + 4 * (n - 1 - np.arange(n))
+    z = rng.standard_normal(per_row.sum())
+    starts = np.cumsum(per_row) - per_row
+    q = 0.5 * np.delete(z, starts).reshape(-1, 4)  # std of each coefficient, variance 1/4
+    top, off = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
     w = np.zeros((2 * n, 2 * n), dtype=complex)
-    half = 0.5  # std of each quaternion coefficient, variance 1/4
-    for i in range(n):
-        a = np.sqrt(0.5) * rng.standard_normal()
-        w[2 * i, 2 * i] = a
-        w[2 * i + 1, 2 * i + 1] = a
-        if i + 1 < n:
-            k = n - i - 1
-            a4 = half * rng.standard_normal((k, 4))
-            top = a4[:, 0] + 1j * a4[:, 1]
-            off = a4[:, 2] + 1j * a4[:, 3]
-            cols = 2 * (np.arange(i + 1, n))
-            w[2 * i, cols] = top
-            w[2 * i, cols + 1] = off
-            w[2 * i + 1, cols] = -off.conj()
-            w[2 * i + 1, cols + 1] = top.conj()
+    i, j = np.triu_indices(n, 1)
+    w.reshape(n, 2, n, 2)[i, :, j, :] = np.stack(
+        [top, off, -off.conj(), top.conj()], axis=-1).reshape(-1, 2, 2)
+    w[np.diag_indices(2 * n)] = np.repeat(np.sqrt(0.5) * z[starts], 2)
     iu = np.triu_indices(2 * n, 1)
     w[(iu[1], iu[0])] = w[iu].conj()
     return w

@@ -220,7 +220,7 @@ def _occupancy_law(L: int, n: int, exact: bool):
         weight, merge = np.array([1], dtype=object), np.add
     else:
         log_fact = gammaln(np.arange(n + 1) + 1.0)
-        weight, merge = np.full(1, -n * np.log(L)), np.logaddexp
+        weight, merge = np.zeros(1), np.logaddexp
     mass = q = np.zeros(1, dtype=np.int64)
     for cell in range(L):
         rest = n - mass
@@ -244,7 +244,9 @@ def _occupancy_law(L: int, n: int, exact: bool):
         starts = np.flatnonzero((np.diff(mass, prepend=-1) != 0) | (np.diff(q, prepend=-1) != 0))
         weight = merge.reduceat(weight[order], starts)
         mass, q = mass[starts], q[starts]
-    return q, weight
+    # normalising by the weights' own log-sum-exp, rather than subtracting
+    # n log L, cancels the rounding of log n! that every log weight shares
+    return q, weight if exact else weight - logsumexp(weight)
 
 
 def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,

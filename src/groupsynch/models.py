@@ -55,11 +55,8 @@ def _hermitize(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def _rank_one(x: np.ndarray) -> np.ndarray:
-    # Same matmul path as the stacked-irrep product, so cyclic and
-    # group-based samplers of the same prior agree bit for bit.
-    col = x.reshape(-1, 1)
-    return col @ col.conj().T
+_NOISE = {"real": ensembles.sample_goe, "complex": ensembles.sample_gue,
+          "quaternionic": ensembles.sample_gse}
 
 
 @dataclass(frozen=True)
@@ -136,6 +133,22 @@ def _snr_list(snr, count: int) -> np.ndarray:
     return arr
 
 
+def _channel(x: np.ndarray, lam: float, d: int, type_tag: str, rng,
+             label: str) -> FrequencyObservation:
+    """(lam/n) X X* plus the type's noise ensemble of size n d, scaled by 1/sqrt(n d).
+
+    ``x`` stacks n square signal blocks vertically (1 x 1 for the circle and
+    cyclic priors).  Every sampler goes through this one matmul, so the
+    cyclic and group samplers of the same prior agree bit for bit.
+    """
+    n = x.shape[0] // x.shape[1]
+    sig = _hermitize((lam / n) * (x @ x.conj().T))
+    if type_tag == "real":
+        sig = sig.real
+    y = sig + _NOISE[type_tag](n * d, rng) / np.sqrt(n * d)
+    return FrequencyObservation(y, float(lam), d, type_tag, label)
+
+
 def sample_gsynch_circle(L: int, snr, n: int, seed=None, signal=None) -> SynchObservation:
     """Circle-prior observation with ``L`` frequency channels, all complex."""
     if L < 1:
@@ -144,14 +157,11 @@ def sample_gsynch_circle(L: int, snr, n: int, seed=None, signal=None) -> SynchOb
     if signal is None:
         signal = sample_signal("circle", n, seed)
     phases = np.angle(signal.values)
-    freqs = []
-    for ell in range(1, L + 1):
-        x = np.exp(1j * ell * phases)
-        rng = make_rng(seed, _NOISE_STREAM, ell)
-        sig = _hermitize((lam[ell - 1] / n) * _rank_one(x))
-        y = sig + ensembles.sample_gue(n, rng) / np.sqrt(n)
-        freqs.append(FrequencyObservation(y, float(lam[ell - 1]), 1, "complex", f"freq-{ell}"))
-    return SynchObservation(tuple(freqs), f"circle(L={L})", n, seed)
+    freqs = tuple(
+        _channel(np.exp(1j * ell * phases).reshape(-1, 1), lam[ell - 1], 1, "complex",
+                 make_rng(seed, _NOISE_STREAM, ell), f"freq-{ell}")
+        for ell in range(1, L + 1))
+    return SynchObservation(freqs, f"circle(L={L})", n, seed)
 
 
 def sample_gsynch_cyclic(L: int, snr, n: int, seed=None, signal=None) -> SynchObservation:
@@ -169,20 +179,12 @@ def sample_gsynch_cyclic(L: int, snr, n: int, seed=None, signal=None) -> SynchOb
         signal = sample_signal(("cyclic", L), n, seed)
     u = signal.values
     roots = np.exp(2j * np.pi * np.arange(L) / L)
-    freqs = []
-    for ell in range(1, nfreq + 1):
-        x = roots[(ell * u) % L]
-        real_freq = (2 * ell) % L == 0
-        rng = make_rng(seed, _NOISE_STREAM, ell)
-        sig = _hermitize((lam[ell - 1] / n) * _rank_one(x))
-        if real_freq:
-            y = sig.real + ensembles.sample_goe(n, rng) / np.sqrt(n)
-            tag = "real"
-        else:
-            y = sig + ensembles.sample_gue(n, rng) / np.sqrt(n)
-            tag = "complex"
-        freqs.append(FrequencyObservation(y, float(lam[ell - 1]), 1, tag, f"freq-{ell}"))
-    return SynchObservation(tuple(freqs), f"cyclic(L={L})", n, seed)
+    freqs = tuple(
+        _channel(roots[(ell * u) % L].reshape(-1, 1), lam[ell - 1], 1,
+                 "real" if (2 * ell) % L == 0 else "complex",
+                 make_rng(seed, _NOISE_STREAM, ell), f"freq-{ell}")
+        for ell in range(1, nfreq + 1))
+    return SynchObservation(freqs, f"cyclic(L={L})", n, seed)
 
 
 def _irrep_stack(irrep: Irrep, u: np.ndarray) -> np.ndarray:
@@ -202,26 +204,15 @@ def sample_gsynch_group(group: FiniteGroup, irreps: IrrepList, snr, n: int,
     u = signal.values
     if u.max(initial=0) >= group.order:
         raise InvalidParameterError("signal indices out of range for the group")
-    freqs = []
-    for idx, irrep in enumerate(irreps):
-        if irrep.matrices.shape[0] != group.order:
-            raise InvalidParameterError("irrep size does not match group order")
-        x = _irrep_stack(irrep, u)
-        d = irrep.model_dim
-        # channel streams are 1-based so that the cyclic-prior sampler and
-        # the group sampler over the same cyclic group share noise draws
-        rng = make_rng(seed, _NOISE_STREAM, idx + 1)
-        sig = _hermitize((lam[idx] / n) * (x @ x.conj().T))
-        if irrep.type_tag == "real":
-            w = ensembles.sample_goe(n * d, rng)
-            y = sig.real + w / np.sqrt(n * d)
-        elif irrep.type_tag == "complex":
-            y = sig + ensembles.sample_gue(n * d, rng) / np.sqrt(n * d)
-        else:
-            y = sig + ensembles.sample_gse(n * d, rng) / np.sqrt(n * d)
-        label = irrep.name or f"irrep-{idx}"
-        freqs.append(FrequencyObservation(y, float(lam[idx]), d, irrep.type_tag, label))
-    return SynchObservation(tuple(freqs), f"group({group.name})", n, seed)
+    if any(irrep.matrices.shape[0] != group.order for irrep in irreps):
+        raise InvalidParameterError("irrep size does not match group order")
+    # channel streams are 1-based so that the cyclic-prior sampler and
+    # the group sampler over the same cyclic group share noise draws
+    freqs = tuple(
+        _channel(_irrep_stack(irrep, u), lam[idx], irrep.model_dim, irrep.type_tag,
+                 make_rng(seed, _NOISE_STREAM, idx + 1), irrep.name or f"irrep-{idx}")
+        for idx, irrep in enumerate(irreps))
+    return SynchObservation(freqs, f"group({group.name})", n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +311,13 @@ def indicator_to_canonical(obs: IndicatorObservation, group: FiniteGroup,
     entry variance 1/(n d).  The implied signal strength is
     snr = gamma * sqrt(n / L).
 
-    Blocks for pairs k < j fill the upper block triangle and are mirrored;
-    each diagonal block is Hermitized.  The trivial irrep is dropped; both
-    members of a conjugate pair are kept, since their score-table noises are
+    Y~ = sum_g z_kj(g) P_g with P_g[t, s] = [t s^{-1} = g], so with R the
+    irrep's d rows of the unitary every block is one contraction of the
+    score tables against basis[g] = R P_g R* / sqrt(n L); no per-pair
+    L x L matrix is formed.  Blocks for pairs k < j fill the upper block
+    triangle and are mirrored; each diagonal block is Hermitized, so the
+    result is exactly Hermitian.  The trivial irrep is dropped; both members
+    of a conjugate pair are kept, since their score-table noises are
     independent.  The map is linear in the score tables.
     """
     if irreps.mode != "full":
@@ -334,27 +329,24 @@ def indicator_to_canonical(obs: IndicatorObservation, group: FiniteGroup,
     n = obs.n
     lam = obs.gamma * np.sqrt(n / L)
 
-    # index table for Y~[t, s] = z(t s^{-1})
     ts_inv = group.mul[:, group.inverse]   # ts_inv[t, s] = t * s^{-1}
+    perms = (ts_inv == np.arange(L)[:, None, None]).astype(float)   # P_g, (L, L, L)
     offsets = np.cumsum([0] + [r.dim ** 2 for r in irreps])
+    lower = np.tril_indices(n, -1)
+    diag = np.arange(n)
 
     out = []
     for ridx, irrep in enumerate(irreps):
         if irrep.is_trivial:
             continue
         d = irrep.dim
-        off = offsets[ridx]
-        rows = U[off:off + d]
-        y = np.zeros((n * d, n * d), dtype=complex)
-        for k in range(n):
-            for j in range(k, n):
-                ytilde = obs.scores[k, j][ts_inv]
-                block = rows @ ytilde @ rows.conj().T / np.sqrt(n * L)
-                if j == k:
-                    block = 0.5 * (block + block.conj().T)
-                y[k * d:(k + 1) * d, j * d:(j + 1) * d] = block
-                if j != k:
-                    y[j * d:(j + 1) * d, k * d:(k + 1) * d] = block.conj().T
+        rows = U[offsets[ridx]:offsets[ridx] + d]
+        basis = rows @ perms @ rows.conj().T / np.sqrt(n * L)
+        blocks = np.tensordot(obs.scores, basis, axes=(2, 0))      # (n, n, d, d)
+        blocks[lower] = blocks[lower[1], lower[0]].conj().swapaxes(1, 2)
+        b = blocks[diag, diag]
+        blocks[diag, diag] = 0.5 * (b + b.conj().swapaxes(1, 2))
+        y = blocks.swapaxes(1, 2).reshape(n * d, n * d)
         out.append(FrequencyObservation(y, float(lam), irrep.model_dim,
                                         irrep.type_tag, irrep.name or f"irrep-{ridx}"))
     return SynchObservation(tuple(out), f"indicator->{group.name}", n, obs.seed)

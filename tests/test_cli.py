@@ -116,6 +116,15 @@ def test_budget_env_override(tmp_path, monkeypatch, capsys):
     assert code == 1  # resource-limit maps to the assertion-failure exit code
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
+def test_budget_env_must_be_positive_integer(monkeypatch, capsys, value):
+    monkeypatch.setenv("GROUPSYNCH_BUDGET", value)
+    code = main(["ldlr", "--method", "exact", "--L", "3", "--n", "5",
+                 "--lambda", "0.5", "--D", "2"])
+    assert code == 2
+    assert "GROUPSYNCH_BUDGET: must be a positive integer" in capsys.readouterr().err
+
+
 def test_ldlr_cli_rejects_circle_for_count_routes():
     assert main(["ldlr", "--method", "exact", "--prior", "circle", "--L", "2",
                  "--n", "4", "--lambda", "0.5", "--D", "2"]) == 2

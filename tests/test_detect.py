@@ -144,5 +144,3 @@ def test_detector_config_validation():
         DetectorConfig(alpha=0.0)
     with pytest.raises(InvalidParameterError):
         DetectorConfig(calibration_trials=10)
-    with pytest.raises(InvalidParameterError):
-        DetectorConfig(aggregation="sum")

@@ -62,6 +62,33 @@ def test_gse_coefficient_variances():
     assert np.var(coeffs) == pytest.approx(0.25, rel=0.15)
 
 
+def _gse_row_loop(n, rng):
+    # reference: per row, draw a_i, then the four coefficients of each block right of it
+    w = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i in range(n):
+        a = np.sqrt(0.5) * rng.standard_normal()
+        w[2 * i, 2 * i] = w[2 * i + 1, 2 * i + 1] = a
+        if i + 1 < n:
+            a4 = 0.5 * rng.standard_normal((n - i - 1, 4))
+            top = a4[:, 0] + 1j * a4[:, 1]
+            off = a4[:, 2] + 1j * a4[:, 3]
+            cols = 2 * np.arange(i + 1, n)
+            w[2 * i, cols] = top
+            w[2 * i, cols + 1] = off
+            w[2 * i + 1, cols] = -off.conj()
+            w[2 * i + 1, cols + 1] = top.conj()
+    iu = np.triu_indices(2 * n, 1)
+    w[(iu[1], iu[0])] = w[iu].conj()
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_gse_single_draw_matches_row_loop(n):
+    got = sample_gse(n, make_rng(23, 2, n))
+    want = _gse_row_loop(n, make_rng(23, 2, n))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gse_kramers_pairing():
     w = sample(EnsembleKind("GSE", 30), seed=2).entries
     ev = np.linalg.eigvalsh(w)

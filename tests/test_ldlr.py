@@ -152,6 +152,17 @@ def test_exact_rational_two_cells_against_binomial_sum():
         assert rep.terms[d] == moment / (Fraction(n) ** d * math.factorial(d)), d
 
 
+@pytest.mark.parametrize("n", [5000, 12000])
+def test_float_route_two_cells_large_n(n):
+    # log n! rounds alike in every log weight; normalising by the weights' own
+    # log-sum-exp cancels it, where subtracting n log L left up to 1.5e-11
+    for statistic in ("pearson", "all_frequencies"):
+        f = ldlr_exact_multinomial(2, n, 1.0, 6, statistic=statistic)
+        r = ldlr_exact_multinomial(2, n, 1.0, 6, exact=True, statistic=statistic)
+        assert all(x == pytest.approx(float(y), rel=3e-12)
+                   for x, y in zip(f.terms, r.terms)), statistic
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
 def test_exact_routes_reject_bad_snr(lam):
     for route in (lambda: ldlr_exact_multinomial(3, 5, lam, 2),

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from groupsynch.errors import InvalidParameterError
-from groupsynch.groups import build_catalog, build_cyclic, build_quaternion8
+from groupsynch.groups import (build_catalog, build_cyclic, build_quaternion8,
+                               regular_rep_unitary)
 from groupsynch.models import (Model, cyclic_group_model, indicator_to_canonical,
                                sample_gsynch_circle, sample_gsynch_cyclic,
                                sample_gsynch_group, sample_indicator,
@@ -251,6 +254,56 @@ def test_indicator_to_canonical_is_linear():
     cs = indicator_to_canonical(summed, group, full)
     for fa, fb, fs in zip(ca.freqs, cb.freqs, cs.freqs):
         assert np.abs((fa.matrix + fb.matrix) - fs.matrix).max() < 1e-12
+
+
+def _indicator_pairwise(obs, group, full):
+    # reference: conjugate each pair's L x L table by the irrep's rows of the unitary
+    U = regular_rep_unitary(group, full)
+    n, L = obs.n, group.order
+    ts_inv = group.mul[:, group.inverse]
+    out, off = [], 0
+    for irrep in full:
+        d = irrep.dim
+        rows = U[off:off + d]
+        off += d * d
+        if irrep.is_trivial:
+            continue
+        y = np.zeros((n * d, n * d), dtype=complex)
+        for k in range(n):
+            for j in range(k, n):
+                block = rows @ obs.scores[k, j][ts_inv] @ rows.conj().T / np.sqrt(n * L)
+                if j == k:
+                    block = 0.5 * (block + block.conj().T)
+                y[k * d:(k + 1) * d, j * d:(j + 1) * d] = block
+                y[j * d:(j + 1) * d, k * d:(k + 1) * d] = block.conj().T
+        out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("name", ["cyclic(5)", "dihedral(3)", "dihedral(4)", "quaternion8"])
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_indicator_to_canonical_matches_pairwise_loop(name, n):
+    group, full = build_catalog(name)
+    obs = sample_indicator(group, n, 0.7, seed=5)
+    got = indicator_to_canonical(obs, group, full).freqs
+    want = _indicator_pairwise(obs, group, full)
+    assert len(got) == len(want)
+    for f, y in zip(got, want):
+        assert np.array_equal(f.matrix, f.matrix.conj().T)
+        assert np.abs(f.matrix - y).max() < 1e-14
+
+
+def test_indicator_to_canonical_memory():
+    # an (n, n, L, L) temporary alone would take L times the score tables
+    group, full = build_catalog("quaternion8")
+    obs = sample_indicator(group, 200, 0.5, seed=2)
+    tracemalloc.start()
+    try:
+        indicator_to_canonical(obs, group, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * obs.scores.nbytes < group.order * obs.scores.nbytes
 
 
 def test_indicator_null_block_variance():
