@@ -162,7 +162,7 @@ def _partial_tuples(n: int, width: int) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(out), width)
 
 
-def check_l3_moment_bound(n: int, d_max: int, budget: int = 10 ** 7):
+def check_l3_moment_bound(n: int, d_max: int):
     """Exact E s^d for the order-3 count statistic vs 8 n^d d^2 d!.
 
     Returns one :class:`BoundCheck` per degree 1..d_max.  Degree 0 is
@@ -172,7 +172,7 @@ def check_l3_moment_bound(n: int, d_max: int, budget: int = 10 ** 7):
     """
     if d_max < 1:
         raise InvalidParameterError("d_max must be >= 1")
-    terms = ldlr_exact_multinomial(3, n, 1.0, d_max, budget=budget).terms
+    terms = ldlr_exact_multinomial(3, n, 1.0, d_max).terms
     if d_max ** 3 > n:
         warnings.warn("degree range leaves the d^3 <= n regime; rows are flagged",
                       RuntimeWarning, stacklevel=2)

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, sample-ensemble, ldlr, detect, power, md-count,
-bounds, suite, phase-diagram.  Exit codes: 0 success, 1 a suite assertion
-failed, 2 configuration error.  The environment variable
+bounds, suite, phase-diagram.  ``detect`` calibrates on the null model named
+in the observation file, which ``simulate`` writes for every model it
+samples.  Exit codes: 0 success, 1 a suite assertion failed, 2 configuration
+error.  The environment variable
 ``GROUPSYNCH_BUDGET``, a positive integer, overrides the default enumeration
 budget.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -21,7 +24,7 @@ from .detect import (DetectorConfig, calibrate_threshold, detect as run_detect,
                      power_curve)
 from . import models as models_mod
 from .ensembles import EnsembleKind, sample
-from .errors import ConfigError, GroupsynchError
+from .errors import ConfigError, GroupsynchError, InvalidParameterError
 from .experiments import ExperimentConfig, _model_from_name, run, write_csv
 
 EXIT_OK = 0
@@ -146,18 +149,27 @@ def _cmd_md_count(args) -> int:
     return EXIT_OK
 
 
+# Observation names the samplers write: circle(L=k), cyclic(L=k), group(<name>)
+_OBS_MODEL_RE = re.compile(r"^(circle|cyclic)\(L=(\d+)\)$|^group\((.+)\)$")
+
+
+def _null_model(obs_model: str) -> models_mod.Model:
+    """The pure-noise model of a stored observation, rebuilt from its name."""
+    m = _OBS_MODEL_RE.match(obs_model)
+    if m is None:
+        raise ConfigError("in", f"cannot rebuild a null model for {obs_model!r}")
+    name, L = (m.group(3), None) if m.group(3) else (m.group(1), int(m.group(2)))
+    try:
+        return _model_from_name(name, L, 0.0)
+    except InvalidParameterError as exc:
+        raise ConfigError("in", f"cannot rebuild a null model for {obs_model!r}: "
+                                f"{exc}") from exc
+
+
 def _cmd_detect(args) -> int:
     with open(args.infile) as fh:
         obs = _obs_from_json(json.load(fh))
-    model_name = obs.model.split("(")[0]
-    if model_name == "circle":
-        model = models_mod.Model("circle", L=len(obs.freqs), snr=0.0)
-    elif model_name == "cyclic":
-        L = int(obs.model.split("L=")[1].rstrip(")"))
-        model = models_mod.Model("cyclic", L=L, snr=0.0)
-    else:
-        raise ConfigError("in", f"cannot rebuild a null model for {obs.model!r}; "
-                                "group observations need library-level calibration")
+    model = _null_model(obs.model)
     config = DetectorConfig(alpha=args.alpha,
                                        calibration_trials=args.calib_trials)
     threshold = calibrate_threshold(model, obs.n, config, seed=args.seed)

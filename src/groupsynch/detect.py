@@ -21,7 +21,6 @@ from .rng import spawn_seeds
 __all__ = [
     "DetectorConfig",
     "DetectionVerdict",
-    "top_eigenvalue",
     "max_top_eigenvalue",
     "calibrate_threshold",
     "detect",

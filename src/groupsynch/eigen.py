@@ -25,7 +25,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import InvalidParameterError, NonConvergenceError
 
-__all__ = ["top_eigenvalue", "top_eigenvalues"]
+__all__ = ["top_eigenvalue"]
 
 _DENSE_CUTOFF = 256
 HERMITIAN_TOL = 1e-8
@@ -137,19 +137,3 @@ def top_eigenvalue(h: np.ndarray, tol: float = 1e-8, maxiter: int = None) -> flo
             raise NonConvergenceError(
                 f"Lanczos did not converge within the iteration limit: {exc}") from exc
         return float(vals[0].real)
-
-
-def top_eigenvalues(h: np.ndarray, k: int, tol: float = 1e-8) -> np.ndarray:
-    """The ``k`` largest eigenvalues, descending."""
-    with _single_thread_blas():
-        h = _check_hermitian(h)
-        n = h.shape[0]
-        if n <= _DENSE_CUTOFF or k >= n - 1:
-            return np.linalg.eigvalsh(h)[::-1][:k]
-        try:
-            vals = eigsh(h, k=k, which="LA", tol=tol, v0=_start_vector(n),
-                         return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise NonConvergenceError(
-                f"Lanczos did not converge within the iteration limit: {exc}") from exc
-        return np.sort(vals.real)[::-1]

@@ -42,6 +42,8 @@ __all__ = [
 
 KINDS = ("ldlr-sweep", "power-sweep", "oracle-suite", "bound-suite",
          "equivalence-suite", "phase-diagram")
+_BUDGETS = ("enumeration", "md")      # count vectors; md_count tuples
+_METHODS = ("exact", "md", "mc")      # the ldlr-sweep routes
 
 _DEFAULT_PARAMS = {
     "ldlr-sweep": {
@@ -139,15 +141,24 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ConfigError("kind", f"must be one of {KINDS}")
         for key, value in self.budgets.items():
+            if key not in _BUDGETS:
+                raise ConfigError(f"budgets.{key}",
+                                  f"unknown budget; expected one of {_BUDGETS}")
             if not isinstance(value, int) or value <= 0:
                 raise ConfigError(f"budgets.{key}", "must be a positive integer")
         for key, value in self.params.items():
+            if key not in _DEFAULT_PARAMS[self.kind]:
+                raise ConfigError(f"params.{key}", f"unknown parameter for {self.kind}")
             if key.endswith("_grid") or key in ("clt_n", "clt_alpha", "trec_L",
                                                 "trec_n", "trec_gamma", "groups",
                                                 "exact_instances", "md_instances",
                                                 "clt_bernoulli_p", "methods"):
                 if not isinstance(value, (list, tuple)) or len(value) == 0:
                     raise ConfigError(f"params.{key}", "grid must be a nonempty list")
+        for method in self.params.get("methods", ()):
+            if method not in _METHODS:
+                raise ConfigError("params.methods",
+                                  f"unknown method {method!r}; expected one of {_METHODS}")
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": self.params,

@@ -1,11 +1,12 @@
 """Finite groups and their unitary irreducible representations.
 
-Groups are stored as multiplication tables over element indices 0..L-1.
+Groups are stored as multiplication tables over element indices 0..L-1;
+products and inverses are read straight off ``mul`` and ``inverse``.
 Representations are dense complex matrices, one per element.  The catalog
 covers cyclic groups, dihedral groups and the quaternion group of order 8,
-with hard-coded analytic irreps; irreps for other groups are supplied via
-the JSON file format (see :func:`group_to_dict` / :func:`group_from_dict`)
-rather than computed.
+with hard-coded analytic irreps; irreps for other groups are supplied as a
+JSON-ready dict (see :func:`group_to_dict` / :func:`group_from_dict`, which
+validates what it reads) rather than computed.
 
 Conventions:
   * an irrep's ``dim`` is always its complex dimension.  Quaternionic-type
@@ -17,7 +18,6 @@ Conventions:
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -38,8 +38,6 @@ __all__ = [
     "peter_weyl_orthogonality_check",
     "group_to_dict",
     "group_from_dict",
-    "save_group",
-    "load_group",
 ]
 
 STRUCT_TOL = 1e-10
@@ -97,12 +95,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return self.mul.shape[0]
-
-    def product(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inv(self, g: int) -> int:
-        return int(self.inverse[g])
 
     def label(self, g: int) -> str:
         return self.labels[g] if self.labels is not None else str(g)
@@ -482,13 +474,3 @@ def group_from_dict(data: dict, validate: bool = True):
         if validate:
             irreps.validate(group)
     return group, irreps
-
-
-def save_group(path, group: FiniteGroup, irreps: IrrepList = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(group_to_dict(group, irreps), fh)
-
-
-def load_group(path, validate: bool = True):
-    with open(path) as fh:
-        return group_from_dict(json.load(fh), validate=validate)

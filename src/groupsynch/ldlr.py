@@ -24,12 +24,18 @@ Routes:
   * :func:`ldlr_exact_multinomial` sums over the law of Q = sum n_g^2, the
     only way both statistics depend on the counts (rationals or log floats);
   * :func:`ldlr_bruteforce_signals` enumerates all L^n signal assignments
-    (the independent oracle for the multinomial route);
+    and evaluates 2s on each count vector (the independent oracle for the
+    multinomial route);
   * :func:`ldlr_from_md` counts zero-sum index tuples, which fixes the
     moments of the ``all_frequencies`` statistic without touching the
     multinomial law (and is the exact route for the circle prior);
   * :func:`ldlr_montecarlo_overlap` averages the overlap series over
-    sampled signals and reports the standard error of each mean.
+    sampled signals, drawn in fixed-size chunks for finite priors, and
+    reports the standard error of each mean.
+
+:func:`moment_table` reads the moments E[s^d] back off the exact route's
+terms, and :func:`polylog_neg` sums the negative-order polylogarithm that
+bounds the cumulative below the spectral threshold.
 """
 from __future__ import annotations
 
@@ -49,10 +55,6 @@ from .rng import make_rng
 
 __all__ = [
     "LdlrReport",
-    "MomentTable",
-    "OverlapSample",
-    "s_stat",
-    "all_freq_stat",
     "first_moment_via_binomial",
     "moment_table",
     "ldlr_exact_multinomial",
@@ -62,7 +64,6 @@ __all__ = [
     "ldlr_montecarlo_overlap",
     "sample_overlaps",
     "group_overlap_stat",
-    "bound_polylog",
     "polylog_neg",
 ]
 
@@ -91,46 +92,14 @@ class LdlrReport:
     def degree(self) -> int:
         return len(self.terms) - 1
 
-    def partial_sums(self):
-        out, acc = [], 0
-        for t in self.terms:
-            acc += t
-            out.append(acc)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Count statistics
 # ---------------------------------------------------------------------------
 
-def _check_counts(counts):
-    counts = list(counts)
-    if any((not float(c).is_integer()) or c < 0 for c in counts):
-        raise InvalidParameterError("counts must be nonnegative integers")
-    return [int(c) for c in counts]
-
-
-def s_stat(counts):
-    """Quadratic overlap statistic of a count vector, as an exact Fraction.
-
-    Equals (L/2) * sum_g (n_g - n/L)^2, and also
-    ((L-1)/2) * sum n_g^2 - (1/2) * sum_{g != f} n_g n_f; the two forms
-    agree exactly in rational arithmetic.
-    """
-    counts = _check_counts(counts)
-    L = len(counts)
-    n = sum(counts)
-    return Fraction(L * sum(c * c for c in counts) - n * n, 2)
-
-
-def all_freq_stat(counts):
-    """Overlap statistic of the redundant all-frequency channel list: L * sum n_g^2."""
-    counts = _check_counts(counts)
-    return len(counts) * sum(c * c for c in counts)
-
-
 def _twice_stat(counts, L, statistic):
-    """2 * statistic as an integer (both statistics are half-integers at worst)."""
+    """2s of a count vector, an integer: L * sum n_g^2 - n^2 for ``pearson``,
+    2 L * sum n_g^2 for ``all_frequencies``."""
     q = L * sum(c * c for c in counts)
     n = sum(counts)
     return q - n * n if statistic == "pearson" else 2 * q
@@ -165,38 +134,14 @@ def first_moment_via_binomial(L: int, n: int, exact: bool = True):
     return 0.5 * L * L * mom
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Moments E[s^d] of a count statistic for d = 0..D."""
-
-    moments: tuple
-    L: int
-    n: int
-    statistic: str = "pearson"
-
-    def __post_init__(self):
-        if len(self.moments) == 0 or self.moments[0] != 1:
-            raise InvalidParameterError("a moment table starts with E[s^0] = 1")
-        if any(m < 0 for m in self.moments):
-            raise InvalidParameterError("moments of a nonnegative statistic")
-
-    def __getitem__(self, d):
-        return self.moments[d]
-
-    @property
-    def degree(self) -> int:
-        return len(self.moments) - 1
-
-
 def moment_table(L: int, n: int, D: int, exact: bool = False,
                  statistic: str = "pearson",
-                 budget: int = DEFAULT_BUDGET) -> MomentTable:
-    """Exact moments of the count statistic under the multinomial law."""
+                 budget: int = DEFAULT_BUDGET) -> tuple:
+    """Moments E[s^d], d = 0..D, of the count statistic under the multinomial law."""
     rep = ldlr_exact_multinomial(L, n, 1.0, D, exact=exact, statistic=statistic,
                                  budget=budget)
     num = Fraction(n) if exact else float(n)
-    moments = tuple(t * (num ** d * math.factorial(d)) for d, t in enumerate(rep.terms))
-    return MomentTable(moments, L, n, statistic)
+    return tuple(t * (num ** d * math.factorial(d)) for d, t in enumerate(rep.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +384,30 @@ def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts):
     return float(total) if counts.ndim == 1 else total
 
 
-@dataclass(frozen=True)
-class OverlapSample:
-    """Per-sample overlaps omega of two independent signal draws.
+# Entries of the (rows, n) index draw that the Monte-Carlo route holds at once
+_CHUNK_ENTRIES = 1 << 20
 
-    ``beta_weights`` records the (label, beta, dim) coefficient triple of
-    every frequency channel entering the overlap; beta is 1 for real-type
-    channels and 2 otherwise.
+
+def _draw_counts(rng, order: int, samples: int, n: int) -> np.ndarray:
+    """Occupancy counts, shape (samples, order), of i.i.d. uniform signals.
+
+    Draws the (samples, n) element indices in row chunks of about
+    ``_CHUNK_ENTRIES`` entries and counts each chunk with one bincount,
+    after offsetting row r by r * order.  The generator hands out its stream
+    in order, so the chunks read the same indices as one full draw.
     """
+    rows = max(1, _CHUNK_ENTRIES // n)
+    counts = np.empty((samples, order), dtype=np.int64)
+    for start in range(0, samples, rows):
+        u = rng.integers(0, order, size=(min(rows, samples - start), n))
+        u += order * np.arange(len(u))[:, None]
+        counts[start:start + len(u)] = np.bincount(
+            u.ravel(), minlength=len(u) * order).reshape(-1, order)
+    return counts
 
-    values: np.ndarray
-    beta_weights: tuple
-    model: str
-    n: int
 
-
-def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> OverlapSample:
-    """Draw i.i.d. signals and evaluate the per-sample overlap statistic.
+def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> np.ndarray:
+    """Per-sample overlaps omega of i.i.d. signal draws, one per sample.
 
     Uses the symmetry reduction that replaces the second, independent signal
     draw by a fixed reference point, valid for every prior considered here.
@@ -467,21 +419,13 @@ def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> OverlapSam
         stat = np.zeros(samples)
         for ell in range(1, model.L + 1):
             stat += np.abs(np.exp(1j * ell * phases).sum(axis=1)) ** 2
-        weights = tuple((f"freq-{ell}", 2, 1) for ell in range(1, model.L + 1))
     elif model.kind == "cyclic":
-        u = rng.integers(0, model.L, size=(samples, n))
-        counts = np.stack([(u == g).sum(axis=1) for g in range(model.L)], axis=1)
+        counts = _draw_counts(rng, model.L, samples, n)
         stat = 0.5 * (model.L * (counts.astype(float) ** 2).sum(axis=1) - float(n) ** 2)
-        weights = tuple((f"freq-{ell}", 1 if (2 * ell) % model.L == 0 else 2, 1)
-                        for ell in range(1, model.L // 2 + 1))
     else:
-        order = model.group.order
-        u = rng.integers(0, order, size=(samples, n))
-        counts = np.stack([(u == g).sum(axis=1) for g in range(order)], axis=1)
+        counts = _draw_counts(rng, model.group.order, samples, n)
         stat = group_overlap_stat(model.group, model.irreps, counts)
-        weights = tuple((r.name, 1 if r.type_tag == "real" else 2, r.model_dim)
-                        for r in model.irreps)
-    return OverlapSample(lam2_over_n * stat, weights, model.describe(), n)
+    return lam2_over_n * stat
 
 
 def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
@@ -491,11 +435,12 @@ def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
     Averages sum_d omega^d / d! over the overlaps of :func:`sample_overlaps`.
     ``stderr`` holds the standard error of the mean, std(ddof=1) / sqrt(samples),
     of each degree's term plus that of the cumulative sum in the last slot.
-    Memory is O(samples * (n + D)).
+    Memory is O(samples * (n + D)) for the circle prior; finite priors draw
+    their signals in chunks and hold O(samples * (order + D)) plus one chunk.
     """
     if samples < 100 or D < 0:
         raise InvalidParameterError("need at least 100 samples and D >= 0")
-    omega = sample_overlaps(model, n, samples, seed).values
+    omega = sample_overlaps(model, n, samples, seed)
     # omega >= 0: each product below is at most max(omega)^d / (d-1)!, and the
     # variance sums `samples` squares of sums of D+1 of them: check in log space
     log_top = math.log(omega.max()) if omega.max() > 0 else -math.inf
@@ -539,19 +484,3 @@ def polylog_neg(order: int, z: float, rel_tol: float = 1e-16,
             return total
         prev = term
     raise NumericalOverflowError("series did not settle within the term budget")
-
-
-def bound_polylog(L: int, lam: float, D: int, limit: bool = True):
-    """Partial sum sum_{d=0}^{D} lam^(2d) d^(2L) and, optionally, its limit.
-
-    The limit is the negative-order polylogarithm of lam^2 at order 2L and
-    exists only for lam < 1; requesting it at lam >= 1 raises.
-    """
-    if L < 1 or D < 0 or lam < 0:
-        raise InvalidParameterError("need L >= 1, D >= 0, lam >= 0")
-    partial = math.fsum(lam ** (2 * d) * float(d) ** (2 * L) for d in range(D + 1))
-    if not limit:
-        return partial, None
-    if lam >= 1:
-        raise DivergentSeriesError("series limit requires lam < 1")
-    return partial, polylog_neg(2 * L, lam ** 2)

@@ -86,9 +86,6 @@ class SynchObservation:
     n: int
     seed: int = None
 
-    def matrices(self):
-        return [f.matrix for f in self.freqs]
-
 
 @dataclass(frozen=True)
 class IndicatorObservation:

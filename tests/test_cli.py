@@ -38,6 +38,32 @@ def test_simulate_and_detect(tmp_path):
     assert verdict["per_frequency"][0] > 2.5
 
 
+@pytest.mark.parametrize("group", ["quaternion8", "dihedral(3)"])
+def test_simulate_and_detect_group(tmp_path, group):
+    obs_path = tmp_path / "obs.json"
+    assert main(["simulate", "--model", "group", "--group", group, "--n", "30",
+                 "--lambda", "3.0", "--seed", "4", "--out", str(obs_path)]) == 0
+    out = tmp_path / "verdict.json"
+    assert main(["detect", "--in", str(obs_path), "--calib-trials", "50",
+                 "--seed", "1", "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())
+    assert verdict["label"] == "p"
+    assert len(verdict["per_frequency"]) == len(json.loads(obs_path.read_text())["freqs"])
+
+
+@pytest.mark.parametrize("model", ["indicator->dihedral(3)", "group(klein4)",
+                                   "circle(L=0)", "cyclic"])
+def test_detect_rejects_unrebuildable_models(tmp_path, capsys, model):
+    obs_path = tmp_path / "obs.json"
+    assert main(["simulate", "--model", "cyclic", "--L", "3", "--n", "6",
+                 "--out", str(obs_path)]) == 0
+    data = json.loads(obs_path.read_text())
+    data["model"] = model
+    obs_path.write_text(json.dumps(data))
+    assert main(["detect", "--in", str(obs_path), "--calib-trials", "50"]) == 2
+    assert "cannot rebuild a null model" in capsys.readouterr().err
+
+
 def test_simulate_group_model(tmp_path):
     obs_path = tmp_path / "obs.json"
     assert main(["simulate", "--model", "group", "--group", "dihedral(3)",

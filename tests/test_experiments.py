@@ -33,6 +33,28 @@ def test_config_bad_budget():
     assert exc.value.field == "budgets.enumeration"
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"params": {"L_gird": [3]}}, "params.L_gird"),
+    ({"params": {"n": 16}}, "params.n"),                  # a phase-diagram key
+    ({"budgets": {"enumration": 10}}, "budgets.enumration"),
+    ({"params": {"methods": ["exakt"]}}, "params.methods"),
+    ({"params": {"methods": ["exact", "MC"]}}, "params.methods"),
+])
+def test_config_typos_name_the_field(data, field):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({"kind": "ldlr-sweep", "seed": 1, **data})
+    assert exc.value.field == field
+
+
+def test_config_hash_pinned():
+    # valid configs keep the hashes their CSV rows and manifests carry
+    assert ExperimentConfig.from_dict({"kind": "oracle-suite", "seed": 1}).hash() \
+        == "9b6dfc2e892fcde6"
+    assert ExperimentConfig.from_dict({
+        "kind": "ldlr-sweep", "seed": 7, "params": {"methods": ["exact", "md", "mc"]},
+        "budgets": {"md": 1000}}).hash() == "91c5f516601c2268"
+
+
 def test_config_hash_stable_and_param_sensitive():
     a = ExperimentConfig.from_dict({"kind": "oracle-suite", "seed": 1})
     b = ExperimentConfig.from_dict({"kind": "oracle-suite", "seed": 1})

@@ -117,7 +117,7 @@ def test_block_homomorphism_independent():
     blocks = [m[off:off + 2, off:off + 2] for m in conj]
     for a in range(8):
         for b in range(8):
-            assert np.abs(blocks[a] @ blocks[b] - blocks[group.product(a, b)]).max() < 1e-10
+            assert np.abs(blocks[a] @ blocks[b] - blocks[group.mul[a, b]]).max() < 1e-10
 
 
 def test_identity_conjugation_trivial():

@@ -11,7 +11,7 @@ from groupsynch.models import (Model, cyclic_group_model, indicator_to_canonical
                                sample_gsynch_circle, sample_gsynch_cyclic,
                                sample_gsynch_group, sample_indicator,
                                sample_signal)
-from groupsynch.detect import top_eigenvalue
+from groupsynch.eigen import top_eigenvalue
 
 
 def test_signal_uniformity_cyclic():
@@ -226,7 +226,7 @@ def test_indicator_cross_irrep_blocks_carry_no_signal():
     from groupsynch.groups import regular_rep_unitary
     U = regular_rep_unitary(group, full)
     gamma = 1.3
-    rel = group.product(2, group.inv(5))
+    rel = group.mul[2, group.inverse[5]]
     ytilde = np.zeros((6, 6), dtype=complex)
     ts_inv = group.mul[:, group.inverse]
     z = np.zeros(6, dtype=complex)
