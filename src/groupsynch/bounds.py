@@ -1,11 +1,13 @@
 """Numerical verification of the moment inequalities behind the LDLR bounds.
 
-Three checkable inequalities:
+Three checkable inequalities, each left side a scalar transform of one of
+two moment primitives:
 
   * :func:`check_clt_moment_bound` — for centered i.i.d. sums with a
     moment generating function,
     E |sum X_i|^(2a)  <=  4 * 2^a * Gamma(2a + 1) * sigma^(2a) * n^a,
-    evaluated exactly by summing over the (binomial) support.
+    read off the centered-binomial moments E |Binomial(m, p) - m p|^(2a)
+    of :func:`_centered_binomial_moments`.
 
   * :func:`check_t_recursion` — the one-variable elimination step for
     moments of multinomial counts.  With T_{k,alpha} the product of the
@@ -20,16 +22,15 @@ Three checkable inequalities:
               * T_{k-1, (alpha_1..alpha_{k-2}, alpha_{k-1} + beta/2)}
 
     with M = ceil(alpha_k + gamma) and K(a) = 4 * 2^a * Gamma(2a + 1),
-    the constant delivered by the moment bound above.  The left side is
-    evaluated exactly from the conditional binomial law, for every
-    reachable conditioning tuple.
+    the constant delivered by the moment bound above.  The left side reads
+    the same centered-binomial moments, for every reachable conditioning tuple.
 
   * :func:`check_l3_moment_bound` — for the order-3 count statistic,
-    E s^d <= 8 * n^d * d^2 * d!, checked from exact multinomial moments.
+    E s^d <= 8 * n^d * d^2 * d!, read off the multinomial moments E[s^d]
+    of :func:`groupsynch.ldlr.moment_table`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
-from .errors import InvalidParameterError, ResourceLimitError
-from .ldlr import ldlr_exact_multinomial
+from .errors import InvalidParameterError, NumericalOverflowError, ResourceLimitError
+from .ldlr import _expand_over_mass, moment_table
 
 __all__ = [
     "BoundCheck",
@@ -46,6 +47,8 @@ __all__ = [
     "check_t_recursion",
     "check_l3_moment_bound",
 ]
+
+_CHUNK_ENTRIES = 1 << 16     # pmf grid entries per binom.pmf call
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,19 @@ def _moment_constant(a: float) -> float:
     return 4.0 * 2.0 ** a * math.gamma(2 * a + 1)
 
 
+def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha: float) -> np.ndarray:
+    """E |Binomial(m_i, p) - m_i p|^two_alpha for each m_i, exactly: one binom.pmf
+    call per chunk of _CHUNK_ENTRIES entries, one fsum per row (pmf 0 past m_i)."""
+    rows = max(1, _CHUNK_ENTRIES // (int(m.max()) + 1))
+    out = []
+    for start in range(0, len(m), rows):
+        mc = m[start:start + rows, None]
+        ks = np.arange(mc.max() + 1)
+        grid = binom.pmf(ks, mc, p) * np.abs(ks - mc * p) ** two_alpha
+        out += [math.fsum(row) for row in grid]
+    return np.array(out)
+
+
 def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
     """Exact 2*alpha absolute moment of a centered i.i.d. sum vs its bound.
 
@@ -71,28 +87,16 @@ def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
     if n < 1 or n > 10 ** 4:
         raise InvalidParameterError("n must lie in [1, 1e4]")
     if distribution == "rademacher":
-        p, sigma2 = 0.5, 1.0
-        support = 2.0 * np.arange(n + 1) - n
+        p, sigma2, scale = 0.5, 1.0, 4.0 ** alpha    # sum = 2 Binomial(n, 1/2) - n
     else:
         kind, p = distribution
         if kind != "bernoulli" or not 0 < p < 1:
             raise InvalidParameterError(f"unknown distribution {distribution!r}")
-        sigma2 = p * (1 - p)
-        support = np.arange(n + 1) - n * p
-    pmf = binom.pmf(np.arange(n + 1), n, p)
-    lhs = float(math.fsum(pmf * np.abs(support) ** (2 * alpha)))
+        sigma2, scale = p * (1 - p), 1.0
+    lhs = scale * float(_centered_binomial_moments(np.array([n]), p, 2 * alpha)[0])
     rhs = _moment_constant(alpha) * sigma2 ** alpha * float(n) ** alpha
     return BoundCheck(lhs, rhs, lhs <= rhs,
                       {"distribution": str(distribution), "n": n, "alpha": alpha})
-
-
-def _centered_binomial_moment_table(n: int, p: float, two_alpha: float) -> np.ndarray:
-    """table[m] = E |Binomial(m, p) - m p|^(two_alpha), exactly, for m = 0..n."""
-    table = np.empty(n + 1)
-    for m in range(n + 1):
-        ks = np.arange(m + 1)
-        table[m] = math.fsum(binom.pmf(ks, m, p) * np.abs(ks - m * p) ** two_alpha)
-    return table
 
 
 def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float,
@@ -114,38 +118,32 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float,
     n_tuples = math.comb(n + k - 1, k - 1)
     if n_tuples > tuple_budget:
         raise ResourceLimitError(f"{n_tuples} conditioning tuples exceed the budget")
-    tuples = (np.zeros((1, 0), dtype=np.int64) if k == 1 else
-              _partial_tuples(n, k - 1))
+    tuples = _partial_tuples(n, k - 1)
 
     ak = alpha[k - 1]
-    p = 1.0 / (L - k + 1)
     m_free = n - tuples.sum(axis=1)              # remaining mass per tuple
-    moment = _centered_binomial_moment_table(n, p, 2 * ak)
+    m_vals, which = np.unique(m_free, return_inverse=True)
+    moment = _centered_binomial_moments(m_vals, 1.0 / (L - k + 1), 2 * ak)[which]
 
-    # factors of T_{k-1} shared by both sides
+    # T_{k-1} shared by both sides, and its last factor (1 when k = 1)
     t_base = np.ones(len(tuples))
     rem = np.full(len(tuples), float(n))
-    factors = []
+    dev = 1.0
     for ell in range(1, k):
         dev = np.abs(rem / (L - ell + 1) - tuples[:, ell - 1])
-        factors.append(dev)
         t_base *= dev ** (2 * alpha[ell - 1])
         rem = rem - tuples[:, ell - 1]
 
-    lhs = t_base * m_free.astype(float) ** gamma * moment[m_free]
+    lhs = t_base * m_free.astype(float) ** gamma * moment
 
     M = math.ceil(ak + gamma)
     const = _moment_constant(ak) * ((L - k) / (L - k + 1) ** 2) ** ak
     a_prev = float(n) - tuples[:, :max(k - 2, 0)].sum(axis=1)
     rhs = np.zeros(len(tuples))
     for beta in range(M + 1):
-        if k >= 2:
-            t_mod = t_base * factors[k - 2] ** beta
-        else:
-            t_mod = np.ones(len(tuples))
         rhs += (math.comb(M, beta)
                 * ((L - k + 1) / (L - k + 2)) ** (M - beta)
-                * a_prev ** (M - beta) * t_mod)
+                * a_prev ** (M - beta) * (t_base * dev ** beta))
     rhs *= const
 
     margin = rhs - lhs
@@ -158,8 +156,12 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float,
 
 
 def _partial_tuples(n: int, width: int) -> np.ndarray:
-    out = [t for t in itertools.product(range(n + 1), repeat=width) if sum(t) <= n]
-    return np.array(out, dtype=np.int64).reshape(len(out), width)
+    """Tuples >= 0 summing to <= n, lexicographic: rows repeat over c = 0..n - sum."""
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(width):
+        src, c = _expand_over_mass(n - tuples.sum(axis=1))
+        tuples = np.column_stack([tuples[src], c])
+    return tuples
 
 
 def check_l3_moment_bound(n: int, d_max: int):
@@ -167,22 +169,19 @@ def check_l3_moment_bound(n: int, d_max: int):
 
     Returns one :class:`BoundCheck` per degree 1..d_max.  Degree 0 is
     excluded (the right side degenerates to 0 there).  Outside the moment
-    regime d^3 <= n the rows are still computed but flagged.  With the LDLR
-    terms at lam = 1, t_d = E s^d / (n^d d!), the check is t_d <= 8 d^2.
+    regime d^3 <= n the rows are still computed but flagged.  Either side
+    leaving the float range raises :class:`NumericalOverflowError`.
     """
     if d_max < 1:
         raise InvalidParameterError("d_max must be >= 1")
-    terms = ldlr_exact_multinomial(3, n, 1.0, d_max).terms
+    moments = moment_table(3, n, d_max)
+    try:
+        rhs = [float(8 * n ** d * d * d * math.factorial(d)) for d in range(d_max + 1)]
+    except OverflowError as exc:
+        raise NumericalOverflowError("8 n^d d^2 d! exceeds the float range") from exc
     if d_max ** 3 > n:
         warnings.warn("degree range leaves the d^3 <= n regime; rows are flagged",
                       RuntimeWarning, stacklevel=2)
-    rows = []
-    for d in range(1, d_max + 1):
-        log_fact = math.log(math.factorial(d))
-        log_lhs = math.log(terms[d]) + d * math.log(n) + log_fact
-        log_rhs = math.log(8.0) + d * math.log(n) + 2 * math.log(d) + log_fact
-        rows.append(BoundCheck(math.exp(log_lhs), math.exp(log_rhs),
-                               terms[d] <= 8 * d * d,
-                               {"n": n, "d": d, "in_regime": d ** 3 <= n,
-                                "log_lhs": log_lhs, "log_rhs": log_rhs}))
-    return rows
+    return [BoundCheck(moments[d], rhs[d], moments[d] <= rhs[d],
+                       {"n": n, "d": d, "in_regime": d ** 3 <= n})
+            for d in range(1, d_max + 1)]

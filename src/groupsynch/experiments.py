@@ -149,12 +149,10 @@ class ExperimentConfig:
         for key, value in self.params.items():
             if key not in _DEFAULT_PARAMS[self.kind]:
                 raise ConfigError(f"params.{key}", f"unknown parameter for {self.kind}")
-            if key.endswith("_grid") or key in ("clt_n", "clt_alpha", "trec_L",
-                                                "trec_n", "trec_gamma", "groups",
-                                                "exact_instances", "md_instances",
-                                                "clt_bernoulli_p", "methods"):
-                if not isinstance(value, (list, tuple)) or len(value) == 0:
-                    raise ConfigError(f"params.{key}", "grid must be a nonempty list")
+            # a param is a grid exactly when its default is a list
+            if isinstance(_DEFAULT_PARAMS[self.kind][key], list) and (
+                    not isinstance(value, (list, tuple)) or len(value) == 0):
+                raise ConfigError(f"params.{key}", "grid must be a nonempty list")
         for method in self.params.get("methods", ()):
             if method not in _METHODS:
                 raise ConfigError("params.methods",

@@ -137,11 +137,20 @@ def first_moment_via_binomial(L: int, n: int, exact: bool = True):
 def moment_table(L: int, n: int, D: int, exact: bool = False,
                  statistic: str = "pearson",
                  budget: int = DEFAULT_BUDGET) -> tuple:
-    """Moments E[s^d], d = 0..D, of the count statistic under the multinomial law."""
+    """Moments E[s^d], d = 0..D, of the count statistic under the multinomial law.
+
+    Float moments beyond the float range raise :class:`NumericalOverflowError`.
+    """
     rep = ldlr_exact_multinomial(L, n, 1.0, D, exact=exact, statistic=statistic,
                                  budget=budget)
     num = Fraction(n) if exact else float(n)
-    return tuple(t * (num ** d * math.factorial(d)) for d, t in enumerate(rep.terms))
+    try:
+        moments = tuple(t * (num ** d * math.factorial(d)) for d, t in enumerate(rep.terms))
+        if exact or math.isfinite(max(moments)):
+            return moments
+    except OverflowError:       # float n^d or d! beyond the float range
+        pass
+    raise NumericalOverflowError(f"E[s^d] for d <= {D} exceeds the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +160,12 @@ def moment_table(L: int, n: int, D: int, exact: bool = False,
 def _check_route_args(L: int, n: int, lam, D: int, min_L: int = 2) -> None:
     if L < min_L or n < 1 or D < 0 or not 0 <= float(lam) < math.inf:
         raise InvalidParameterError(f"need L >= {min_L}, n >= 1, D >= 0, finite lam >= 0")
+
+
+def _expand_over_mass(rest: np.ndarray):
+    """Source row and value c of each row repeated over c = 0..rest[row], in order."""
+    src = np.repeat(np.arange(len(rest)), rest + 1)
+    return src, np.arange(len(src)) - np.repeat(np.cumsum(rest + 1) - rest - 1, rest + 1)
 
 
 def _occupancy_law(L: int, n: int, exact: bool):
@@ -172,8 +187,7 @@ def _occupancy_law(L: int, n: int, exact: bool):
         if cell == L - 1:
             mass, q = mass + rest, q + rest * rest
         else:
-            src = np.repeat(np.arange(len(mass)), rest + 1)
-            c = np.arange(len(src)) - np.repeat(np.cumsum(rest + 1) - rest - 1, rest + 1)
+            src, c = _expand_over_mass(rest)
             r = rest[src]
             if exact:   # one row C(k, 0..k) per distinct k, by the multiplicative recurrence
                 rows = {k: list(itertools.accumulate(
@@ -412,6 +426,8 @@ def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> np.ndarray
     Uses the symmetry reduction that replaces the second, independent signal
     draw by a fixed reference point, valid for every prior considered here.
     """
+    if n < 1 or samples < 1:
+        raise InvalidParameterError("need n >= 1 and samples >= 1")
     rng = make_rng(seed, 71)
     lam2_over_n = model.snr ** 2 / n
     if model.kind == "circle":

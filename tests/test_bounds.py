@@ -1,12 +1,16 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from groupsynch.bounds import (check_clt_moment_bound, check_l3_moment_bound,
+from groupsynch.bounds import (_centered_binomial_moments, _partial_tuples,
+                               check_clt_moment_bound, check_l3_moment_bound,
                                check_t_recursion)
-from groupsynch.errors import InvalidParameterError
+from groupsynch.errors import InvalidParameterError, NumericalOverflowError
 
 
 def test_clt_rademacher_alpha_one_exact_values():
@@ -53,6 +57,17 @@ def test_clt_parameter_validation():
         check_clt_moment_bound(("bernoulli", 1.5), 100, 2)
 
 
+@pytest.mark.parametrize("p", [1 / 3, 0.5, 0.9])
+@pytest.mark.parametrize("two_alpha", [0, 1, 2.5, 8])
+def test_centered_binomial_moments_match_per_m_sums(p, two_alpha):
+    ms = np.arange(41)
+    want = [math.fsum(binom.pmf(np.arange(m + 1), m, p)
+                      * np.abs(np.arange(m + 1) - m * p) ** two_alpha) for m in ms]
+    # every m at once, and in an order that puts small m after large
+    assert _centered_binomial_moments(ms, p, two_alpha).tolist() == want
+    assert _centered_binomial_moments(ms[::-1], p, two_alpha).tolist() == want[::-1]
+
+
 def test_clt_grid_holds():
     for dist in ("rademacher", ("bernoulli", 0.5), ("bernoulli", 0.1)):
         for n in (10, 100, 1000):
@@ -93,11 +108,34 @@ def test_t_recursion_examples_hold():
 
 
 def test_t_recursion_lhs_matches_direct_evaluation():
-    L, n, k, alpha, gamma = 4, 9, 3, [1.0, 0.5, 1.5], 1.0
-    res = check_t_recursion(L, n, k, alpha, gamma)
-    worst = res.detail["worst_tuple"]
-    assert res.lhs == pytest.approx(_lhs_direct(L, n, k, alpha, gamma, worst),
-                                    rel=1e-10)
+    for L, n, k, alpha, gamma in ((4, 9, 3, [1.0, 0.5, 1.5], 1.0),
+                                  (3, 15, 1, [2.5], 2.0),
+                                  (5, 7, 4, [0.5, 1.0, 0.0, 1.5], 1.0)):
+        res = check_t_recursion(L, n, k, alpha, gamma)
+        worst = res.detail["worst_tuple"]
+        assert len(worst) == k - 1
+        assert res.lhs == pytest.approx(_lhs_direct(L, n, k, alpha, gamma, worst),
+                                        rel=1e-10)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_partial_tuples_match_product_filter(n, width):
+    want = [t for t in itertools.product(range(n + 1), repeat=width) if sum(t) <= n]
+    got = _partial_tuples(n, width)
+    assert got.shape == (len(want), width)
+    assert [tuple(row) for row in got.tolist()] == want
+
+
+def test_t_recursion_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        res = check_t_recursion(3, 2000, 2, [1, 1], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.holds and res.detail["tuples"] == 2001
+    assert peak < 32 * 2 ** 20
 
 
 def test_t_recursion_k1():
@@ -141,6 +179,18 @@ def test_l3_degrees_up_to_nine():
     assert len(rows) == 9
     assert all(r.holds for r in rows)
     assert all(r.detail["in_regime"] for r in rows)
+
+
+def test_l3_rhs_is_the_rounded_integer_bound():
+    for n, d_max in ((1000, 9), (64, 4), (1, 1)):
+        for d, row in enumerate(check_l3_moment_bound(n, d_max), start=1):
+            assert row.rhs == float(8 * n ** d * d * d * math.factorial(d))
+
+
+@pytest.mark.parametrize("d_max", [69, 110])   # the right side alone overflows; both do
+def test_l3_overflow_is_typed(d_max):
+    with pytest.raises(NumericalOverflowError):
+        check_l3_moment_bound(1000, d_max)
 
 
 def test_l3_regime_warning():

@@ -99,6 +99,13 @@ def test_bounds_cli(capsys):
     assert "holds=True" in out
 
 
+def test_bounds_cli_overflow_is_an_error_line(capsys):
+    # E s^d at n=1000 leaves the float range well before d=110
+    assert main(["bounds", "--which", "l3", "--n", "1000", "--dmax", "110"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "float range" in err
+
+
 def test_suite_cli_exit_code(tmp_path):
     code = main(["suite", "--kind", "equivalence-suite", "--seed", "3",
                  "--csv", str(tmp_path / "eq.csv")])

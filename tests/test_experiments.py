@@ -24,6 +24,14 @@ def test_config_empty_grid_names_field():
         ExperimentConfig.from_dict({"kind": "ldlr-sweep", "seed": 1,
                                     "params": {"L_grid": []}})
     assert exc.value.field == "params.L_grid"
+    # grids whose names carry no _grid suffix
+    for kind, key in (("bound-suite", "trec_gamma"), ("equivalence-suite", "groups"),
+                      ("oracle-suite", "exact_instances"), ("ldlr-sweep", "methods")):
+        for value in ([], 2):
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig.from_dict({"kind": kind, "seed": 1,
+                                            "params": {key: value}})
+            assert exc.value.field == f"params.{key}"
 
 
 def test_config_bad_budget():

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from groupsynch import ldlr
 from groupsynch.errors import (DivergentSeriesError, InvalidParameterError,
-                               ResourceLimitError)
+                               NumericalOverflowError, ResourceLimitError)
 from groupsynch.groups import build_catalog
 from groupsynch.ldlr import (LdlrReport, _twice_stat, first_moment_via_binomial,
                              group_overlap_stat, ldlr_bruteforce_signals,
                              ldlr_exact_multinomial, ldlr_from_md,
-                             ldlr_montecarlo_overlap, md_count, polylog_neg,
-                             sample_overlaps)
+                             ldlr_montecarlo_overlap, md_count, moment_table,
+                             polylog_neg, sample_overlaps)
 from groupsynch.models import Model
 from groupsynch.rng import make_rng
 
@@ -369,6 +369,24 @@ def test_mc_requires_min_samples():
         ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=0.5), 10, 2, 50, seed=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: sample_overlaps(m, 0, 200),
+    lambda m: sample_overlaps(m, -3, 200),
+    lambda m: sample_overlaps(m, 10, 0),
+    lambda m: sample_overlaps(m, 10, -1),
+    lambda m: ldlr_montecarlo_overlap(m, 0, 2, 200),
+    lambda m: ldlr_montecarlo_overlap(m, -3, 2, 200),
+], ids=["overlaps-n0", "overlaps-n-3", "overlaps-samples0", "overlaps-samples-1",
+        "mc-n0", "mc-n-3"])
+def test_mc_rejects_bad_sizes_before_drawing(monkeypatch, call):
+    def no_draws(*args):
+        raise AssertionError("a generator was built before the sizes were checked")
+    monkeypatch.setattr(ldlr, "make_rng", no_draws)
+    with pytest.raises(InvalidParameterError) as exc:
+        call(Model("cyclic", L=3, snr=0.5))
+    assert type(exc.value) is InvalidParameterError
+
+
 @pytest.mark.parametrize("name", ["cyclic(6)", "dihedral(3)", "dihedral(4)",
                                   "quaternion8"])
 def test_group_overlap_equals_count_statistic(name):
@@ -441,13 +459,18 @@ def test_report_requires_terms():
 
 
 def test_moment_table_values():
-    from groupsynch.ldlr import moment_table
     mt = moment_table(3, 10, 3, exact=True)
     assert mt[0] == 1
     assert mt[1] == Fraction(10 * 2, 2)
     # degree-2 moment cross-checked against brute-force enumeration
     bf = ldlr_bruteforce_signals(3, 10, 1.0, 2, exact=True)
     assert mt[2] == bf.terms[2] * Fraction(10) ** 2 * 2
+
+
+@pytest.mark.parametrize("D", [70, 110])   # n^d d! past the float range; n^d alone past it
+def test_moment_table_overflow_is_typed(D):
+    with pytest.raises(NumericalOverflowError):
+        moment_table(3, 1000, D)
 
 
 def test_sample_overlaps_mean():
@@ -463,7 +486,6 @@ def test_sample_overlaps_mean():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mc_overflow_detected():
-    from groupsynch.errors import NumericalOverflowError
     with pytest.raises(NumericalOverflowError):
         ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=1e100), 10, 3, 200, seed=0)
 
@@ -471,6 +493,5 @@ def test_mc_overflow_detected():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mc_overflow_in_stderr_detected():
     # the powers stay finite near 1e200, but their variance would not
-    from groupsynch.errors import NumericalOverflowError
     with pytest.raises(NumericalOverflowError):
         ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=1e50), 10, 2, 200, seed=0)
