@@ -174,11 +174,14 @@ def check_l3_moment_bound(n: int, d_max: int):
     """
     if d_max < 1:
         raise InvalidParameterError("d_max must be >= 1")
-    moments = moment_table(3, n, d_max)
+    # the right side first: where the bound holds, a left side past the
+    # float range means this one is past it too, so that raises before any
+    # moment is computed
     try:
         rhs = [float(8 * n ** d * d * d * math.factorial(d)) for d in range(d_max + 1)]
     except OverflowError as exc:
         raise NumericalOverflowError("8 n^d d^2 d! exceeds the float range") from exc
+    moments = moment_table(3, n, d_max)
     if d_max ** 3 > n:
         warnings.warn("degree range leaves the d^3 <= n regime; rows are flagged",
                       RuntimeWarning, stacklevel=2)

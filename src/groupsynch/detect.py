@@ -40,6 +40,8 @@ class DetectorConfig:
             raise InvalidParameterError("significance level must lie in (0, 1)")
         if self.calibration_trials < 50:
             raise InvalidParameterError("need at least 50 calibration trials")
+        if not 0 <= self.eigen_tol < math.inf:
+            raise InvalidParameterError("eigen_tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise InvalidParameterError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise InvalidParameterError("successes must lie in [0, trials]")
     phat = successes / trials
     denom = 1 + z ** 2 / trials
     center = (phat + z ** 2 / (2 * trials)) / denom
@@ -97,6 +101,8 @@ def power_curve(model: Model, n: int, snr_grid, trials: int,
     snr_grid = list(snr_grid)
     if not snr_grid:
         raise InvalidParameterError("snr grid must be nonempty")
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
     threshold = calibrate_threshold(model, n, config, seed=seed)
     rejections = sum(
         detect(model.null().sample(n, s), threshold, config.eigen_tol).label == "p"

@@ -29,6 +29,7 @@ __all__ = ["top_eigenvalue"]
 
 _DENSE_CUTOFF = 256
 HERMITIAN_TOL = 1e-8
+_TILE = 256     # edge of the square tiles that channels are built and checked in
 
 
 # (get, set) thread-count symbols: the scipy-openblas wheels' names (64-bit
@@ -94,16 +95,36 @@ def _single_thread_blas():
             lib.set_threads(count)
 
 
+def _tiles(n: int):
+    """(rows, cols) slice pairs of the upper block triangle of an n x n matrix.
+
+    Tiles are _TILE square (smaller at the right and bottom edges), row by
+    row, diagonal tiles included (rows == cols).
+    """
+    edges = range(0, n, _TILE)
+    for i in edges:
+        rows = slice(i, min(i + _TILE, n))
+        for j in edges[i // _TILE:]:
+            yield rows, slice(j, min(j + _TILE, n))
+
+
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
+    """``h`` as an array, after checking max |h - h*| <= HERMITIAN_TOL.
+
+    Each upper tile h[I, J] is compared with h[J, I]* in turn, so no full
+    transposed copy is made; the first tile whose deviation is above the
+    tolerance or NaN (from NaN or Inf entries) raises.
+    """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise InvalidParameterError("matrix must be square and nonempty")
-    with np.errstate(invalid="ignore"):     # Inf - Inf gives NaN
-        err = np.abs(h - h.conj().T).max()
-    # written so that a NaN deviation, from NaN or Inf entries, also fails
-    if not err <= HERMITIAN_TOL:
-        raise InvalidParameterError(
-            "matrix is not Hermitian within 1e-8 or has non-finite entries")
+    for rows, cols in _tiles(h.shape[0]):
+        with np.errstate(invalid="ignore"):     # Inf - Inf gives NaN
+            err = np.abs(h[rows, cols] - h[cols, rows].conj().T).max()
+        # written so that a NaN deviation also fails
+        if not err <= HERMITIAN_TOL:
+            raise InvalidParameterError(
+                "matrix is not Hermitian within 1e-8 or has non-finite entries")
     return h
 
 
@@ -120,7 +141,13 @@ def top_eigenvalue(h: np.ndarray, tol: float = 1e-8, maxiter: int = None) -> flo
     Tolerances of 1e-4 and looser run the Lanczos iteration in single
     precision; Hermitian eigenvalues are perturbed by at most the backward
     error norm, which stays two orders of magnitude below that tolerance.
+    ``tol`` must be finite and nonnegative (0 asks ARPACK for machine
+    precision) and ``maxiter``, when given, positive.
     """
+    if not 0 <= tol < np.inf:
+        raise InvalidParameterError("tol must be finite and nonnegative")
+    if maxiter is not None and maxiter < 1:
+        raise InvalidParameterError("maxiter must be positive")
     with _single_thread_blas():
         h = _check_hermitian(h)
         n = h.shape[0]

@@ -11,6 +11,13 @@ Entry conventions:
 
 Hermiticity is exact by construction: the strict upper triangle (or upper
 block triangle) is drawn and mirrored, never symmetrized after the fact.
+The draw fills the strict upper triangle in one boolean-mask assignment,
+row-major, the order of ``np.triu_indices``.  The mirror then walks the
+upper block triangle in square tiles of 256 (``eigen._tiles``): each
+off-diagonal tile's conjugate transpose is copied onto its lower partner,
+and each diagonal tile copies its own strict upper part onto its strict
+lower part.  No triangle index arrays and no full transposed copy are
+made, and the tiles stay in cache at large n.
 Sampling is a pure function of (kind, seed) via counter-based Philox streams.
 """
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import top_eigenvalue
+from .eigen import _tiles, top_eigenvalue
 from .errors import InvalidParameterError
 from .rng import make_rng, spawn_seeds
 
@@ -60,25 +67,35 @@ class NoiseMatrix:
     seed: int
 
 
-def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
-    iu = np.triu_indices(n, 1)
-    w = np.zeros((n, n))
-    vals = rng.standard_normal(len(iu[0]))
-    w[iu] = vals
-    w[(iu[1], iu[0])] = vals
-    w[np.diag_indices(n)] = np.sqrt(2.0) * rng.standard_normal(n)
+def _mirror_upper(w: np.ndarray) -> np.ndarray:
+    """Set w[j, i] = conj(w[i, j]) for every i < j, tile by tile; returns ``w``."""
+    for rows, cols in _tiles(len(w)):
+        if rows == cols:
+            k = rows.stop - rows.start
+            np.copyto(w[rows, rows], w[rows, rows].conj().T,
+                      where=np.tri(k, k, -1, dtype=bool))
+        else:
+            w[cols, rows] = w[rows, cols].conj().T
     return w
+
+
+def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
+    w = np.zeros((n, n))
+    w[~np.tri(n, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
+    w[np.diag_indices(n)] = np.sqrt(2.0) * rng.standard_normal(n)
+    return _mirror_upper(w)
 
 
 def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
-    iu = np.triu_indices(n, 1)
+    m = n * (n - 1) // 2
+    vals = np.empty(m, dtype=complex)
+    vals.real = rng.standard_normal(m)
+    vals.imag = rng.standard_normal(m)
+    np.divide(vals, np.sqrt(2.0), out=vals)
     w = np.zeros((n, n), dtype=complex)
-    m = len(iu[0])
-    vals = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-    w[iu] = vals
-    w[(iu[1], iu[0])] = vals.conj()
+    w[~np.tri(n, dtype=bool)] = vals
     w[np.diag_indices(n)] = rng.standard_normal(n)
-    return w
+    return _mirror_upper(w)
 
 
 def sample_gse(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,13 +110,11 @@ def sample_gse(n: int, rng: np.random.Generator) -> np.ndarray:
     q = 0.5 * np.delete(z, starts).reshape(-1, 4)  # std of each coefficient, variance 1/4
     top, off = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
     w = np.zeros((2 * n, 2 * n), dtype=complex)
-    i, j = np.triu_indices(n, 1)
-    w.reshape(n, 2, n, 2)[i, :, j, :] = np.stack(
+    blocks = w.reshape(n, 2, n, 2).swapaxes(1, 2)     # view: blocks[i, j] = block (i, j)
+    blocks[~np.tri(n, dtype=bool)] = np.stack(
         [top, off, -off.conj(), top.conj()], axis=-1).reshape(-1, 2, 2)
     w[np.diag_indices(2 * n)] = np.repeat(np.sqrt(0.5) * z[starts], 2)
-    iu = np.triu_indices(2 * n, 1)
-    w[(iu[1], iu[0])] = w[iu].conj()
-    return w
+    return _mirror_upper(w)
 
 
 _SAMPLERS = {"GOE": sample_goe, "GUE": sample_gue, "GSE": sample_gse}
@@ -119,6 +134,8 @@ def spectral_edge_check(kind: EnsembleKind, trials: int, seed: int):
     """
     if kind.n < 1:
         raise InvalidParameterError("n must be >= 1")
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
     vals = np.empty(trials)
     for t, s in enumerate(spawn_seeds(seed, trials)):
         w = sample(kind, s).entries

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles
+from .eigen import _tiles
 from .errors import InvalidParameterError
 from .groups import FiniteGroup, Irrep, IrrepList, build_cyclic, regular_rep_unitary
 from .rng import make_rng
@@ -46,13 +47,6 @@ __all__ = [
 
 _SIGNAL_STREAM = 0
 _NOISE_STREAM = 1
-
-
-def _hermitize(s: np.ndarray) -> np.ndarray:
-    # Cancel the 1-ulp asymmetry of floating outer products; noise matrices
-    # are mirrored at construction, so the full observation stays exactly
-    # Hermitian.
-    return 0.5 * (s + s.conj().T)
 
 
 _NOISE = {"real": ensembles.sample_goe, "complex": ensembles.sample_gue,
@@ -125,6 +119,8 @@ def _snr_list(snr, count: int) -> np.ndarray:
         arr = np.repeat(arr, count)
     if arr.size != count:
         raise InvalidParameterError(f"need {count} snr values, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError("snr values must be finite")
     if (arr < 0).any():
         raise InvalidParameterError("snr values must be nonnegative")
     return arr
@@ -135,14 +131,27 @@ def _channel(x: np.ndarray, lam: float, d: int, type_tag: str, rng,
     """(lam/n) X X* plus the type's noise ensemble of size n d, scaled by 1/sqrt(n d).
 
     ``x`` stacks n square signal blocks vertically (1 x 1 for the circle and
-    cyclic priors).  Every sampler goes through this one matmul, so the
-    cyclic and group samplers of the same prior agree bit for bit.
+    cyclic priors).  The noise is scaled in place, then the signal is added
+    over the tiles of the upper block triangle (``eigen._tiles``): on tile
+    (I, J) it is 0.5 (A + B*) with A = (lam/n) X_I X_J* and B the same
+    product for (J, I), which cancels the 1-ulp asymmetry of floating outer
+    products (B = A on diagonal tiles), and the tile's conjugate transpose
+    is copied onto (J, I).  The noise is mirrored at construction, so the
+    observation is exactly Hermitian, and no n x n temporary is formed.
+    Every sampler goes through these per-tile matmuls, so the cyclic and
+    group samplers of the same prior agree bit for bit.
     """
     n = x.shape[0] // x.shape[1]
-    sig = _hermitize((lam / n) * (x @ x.conj().T))
-    if type_tag == "real":
-        sig = sig.real
-    y = sig + _NOISE[type_tag](n * d, rng) / np.sqrt(n * d)
+    y = _NOISE[type_tag](n * d, rng)
+    np.divide(y, np.sqrt(n * d), out=y)
+    xh = x.conj()
+    for rows, cols in _tiles(len(y)):
+        a = (lam / n) * (x[rows] @ xh[cols].T)
+        b = a if rows == cols else (lam / n) * (x[cols] @ xh[rows].T)
+        sig = 0.5 * (a + b.conj().T)
+        y[rows, cols] += sig.real if type_tag == "real" else sig
+        if rows != cols:
+            y[cols, rows] = y[rows, cols].conj().T
     return FrequencyObservation(y, float(lam), d, type_tag, label)
 
 

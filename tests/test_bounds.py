@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -189,6 +190,17 @@ def test_l3_rhs_is_the_rounded_integer_bound():
 
 @pytest.mark.parametrize("d_max", [69, 110])   # the right side alone overflows; both do
 def test_l3_overflow_is_typed(d_max):
+    with pytest.raises(NumericalOverflowError):
+        check_l3_moment_bound(1000, d_max)
+
+
+@pytest.mark.parametrize("d_max", [69, 110])
+def test_l3_overflow_raises_before_the_moments(d_max, monkeypatch):
+    def no_moments(*args, **kwargs):
+        raise AssertionError("moments computed although the right side overflows")
+
+    monkeypatch.setattr(importlib.import_module("groupsynch.bounds"), "moment_table",
+                        no_moments)
     with pytest.raises(NumericalOverflowError):
         check_l3_moment_bound(1000, d_max)
 

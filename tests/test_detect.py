@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from groupsynch.detect import (DetectorConfig, calibrate_threshold, detect,
                                power_curve, wilson_interval)
-from groupsynch.eigen import top_eigenvalue
+from groupsynch.eigen import _check_hermitian, top_eigenvalue
+from groupsynch.ensembles import EnsembleKind, sample
 from groupsynch.errors import InvalidParameterError
 from groupsynch.groups import build_quaternion8
 from groupsynch.models import Model, sample_gsynch_group
@@ -36,6 +39,33 @@ def test_top_eigenvalue_rejects_non_finite(n, value):
     for tol in (1e-8, 1e-4):
         with pytest.raises(InvalidParameterError):
             top_eigenvalue(np.full((n, n), value), tol=tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e-6])
+@pytest.mark.parametrize("where", [(3, 5), (10, 400), (400, 10), (599, 599)])
+def test_hermitian_check_sees_every_tile(where, value):
+    # (3, 5): first tile, clean tiles after it; (10, 400) and (400, 10): the
+    # off-diagonal tile pair; (599, 599): diagonal of the last, partial tile
+    h = sample(EnsembleKind("GUE", 600), seed=3).entries
+    _check_hermitian(h)
+    i, j = where
+    if value == 1e-6:
+        h[i, j] += 1e-6j if i == j else 1e-6
+    else:
+        h[i, j] = value
+    with pytest.raises(InvalidParameterError):
+        _check_hermitian(h)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kwargs", [{"tol": np.nan}, {"tol": -1e-8}, {"tol": np.inf},
+                                    {"maxiter": 0}, {"maxiter": -3}])
+@pytest.mark.parametrize("n", [3, 300])
+def test_top_eigenvalue_rejects_bad_solver_settings(kwargs, n):
+    with pytest.raises(InvalidParameterError) as info:
+        top_eigenvalue(np.eye(n), **kwargs)
+    assert type(info.value) is InvalidParameterError
 
 
 def test_top_eigenvalue_matches_dense_on_large_matrix():
@@ -132,6 +162,26 @@ def test_power_curve_rejects_empty_grid():
         power_curve(Model("circle", L=1, snr=0.0), 50, [], trials=10, seed=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("trials", [0, -1])
+def test_power_curve_needs_a_trial(trials, monkeypatch):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before the trial count was checked")
+
+    detect_module = importlib.import_module("groupsynch.detect")  # the package exports detect()
+    monkeypatch.setattr(detect_module, "calibrate_threshold", no_calibration)
+    with pytest.raises(InvalidParameterError) as info:
+        power_curve(Model("circle", L=1, snr=0.0), 20, [1.0], trials=trials, seed=0)
+    assert type(info.value) is InvalidParameterError
+
+
+@pytest.mark.parametrize("successes", [-1, 11, 10.5])
+def test_wilson_interval_rejects_successes_out_of_range(successes):
+    with pytest.raises(InvalidParameterError) as info:
+        wilson_interval(successes, 10)
+    assert type(info.value) is InvalidParameterError
+
+
 def test_wilson_interval_basic():
     lo, hi = wilson_interval(8, 10)
     assert 0.0 <= lo <= 0.8 <= hi <= 1.0
@@ -144,3 +194,10 @@ def test_detector_config_validation():
         DetectorConfig(alpha=0.0)
     with pytest.raises(InvalidParameterError):
         DetectorConfig(calibration_trials=10)
+
+
+@pytest.mark.parametrize("eigen_tol", [np.nan, -1.0, np.inf])
+def test_detector_config_rejects_bad_eigen_tol(eigen_tol):
+    with pytest.raises(InvalidParameterError) as info:
+        DetectorConfig(eigen_tol=eigen_tol)
+    assert type(info.value) is InvalidParameterError

@@ -89,6 +89,39 @@ def test_gse_single_draw_matches_row_loop(n):
     assert got.tobytes() == want.tobytes()
 
 
+def _triu_scatter(tag, n, rng):
+    # reference: strict upper triangle scattered at triu_indices, mirrored by
+    # scattering again at the transposed indices (GSE: the row loop above)
+    iu = np.triu_indices(n, 1)
+    lower = (iu[1], iu[0])
+    m = len(iu[0])
+    if tag == "GOE":
+        w = np.zeros((n, n))
+        vals = rng.standard_normal(m)
+        w[iu] = vals
+        w[lower] = vals
+        w[np.diag_indices(n)] = np.sqrt(2.0) * rng.standard_normal(n)
+        return w
+    if tag == "GUE":
+        w = np.zeros((n, n), dtype=complex)
+        vals = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
+        w[iu] = vals
+        w[lower] = vals.conj()
+        w[np.diag_indices(n)] = rng.standard_normal(n)
+        return w
+    return _gse_row_loop(n, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 513])
+@pytest.mark.parametrize("tag", ["GOE", "GUE", "GSE"])
+def test_tiled_mirror_matches_triu_scatter(tag, n):
+    # one tile, a full tile, a one-row edge tile and three tile rows
+    got = sample(EnsembleKind(tag, n), seed=31).entries
+    want = _triu_scatter(tag, n, make_rng(31, ("GOE", "GUE", "GSE").index(tag), n))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gse_kramers_pairing():
     w = sample(EnsembleKind("GSE", 30), seed=2).entries
     ev = np.linalg.eigvalsh(w)
@@ -124,6 +157,14 @@ def test_one_by_one_gue_edge_is_plain_gaussian():
             for s in range(10 ** 4)]
     assert np.mean(vals) == pytest.approx(0.0, abs=0.1)
     assert np.var(vals) == pytest.approx(1.0, rel=0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("trials", [0, -1])
+def test_spectral_edge_needs_a_trial(trials):
+    with pytest.raises(InvalidParameterError) as info:
+        spectral_edge_check(EnsembleKind("GUE", 5), trials=trials, seed=1)
+    assert type(info.value) is InvalidParameterError
 
 
 def test_invalid_kind():

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,128 @@ def test_offdiagonal_entry_mean_vanishes():
     assert abs(acc / 300) < 0.05
 
 
+# sha256 prefixes (12 hex digits) of every channel's bytes at seed 2024, taken
+# from the full-matrix construction (one n x n outer product, symmetrized, plus
+# the scaled noise); the per-tile products, the in-place signal add and the
+# tiled mirror must reproduce them bit for bit
+_CHANNEL_PINS = {
+    ('circle:1', 0.0, 1): 'b54744d79149',
+    ('circle:1', 0.0, 17): 'bef2fc5c2d09',
+    ('circle:1', 0.0, 256): '7c5b5538886c',
+    ('circle:1', 0.0, 257): '7c2fb33bfbd5',
+    ('circle:1', 0.0, 300): '9578fda1921e',
+    ('circle:1', 1.3, 1): 'a0657bb6e391',
+    ('circle:1', 1.3, 17): '90c27a0dddf5',
+    ('circle:1', 1.3, 256): 'cd013af10e1e',
+    ('circle:1', 1.3, 257): '746b019b6380',
+    ('circle:1', 1.3, 300): '0eb23e1408cd',
+    ('circle:3', 0.0, 1): 'b54744d79149 5cff4403eaea 191b48c0e692',
+    ('circle:3', 0.0, 17): 'bef2fc5c2d09 13aa051354a4 4e5274f7aa50',
+    ('circle:3', 0.0, 256): '7c5b5538886c ff699a64c079 5cb1f22ee67b',
+    ('circle:3', 0.0, 257): '7c2fb33bfbd5 4e2981b9296d 6b86abb55152',
+    ('circle:3', 0.0, 300): '9578fda1921e 42060315ff59 385ca9358aae',
+    ('circle:3', 1.3, 1): 'a0657bb6e391 a18a29f3cdf2 744c5211dd45',
+    ('circle:3', 1.3, 17): '90c27a0dddf5 0e9285d1559c 887646ddc8bc',
+    ('circle:3', 1.3, 256): 'cd013af10e1e 3ac9a987686d 0d2291eaf2ce',
+    ('circle:3', 1.3, 257): '746b019b6380 e6256e2f8237 df0b9d71795d',
+    ('circle:3', 1.3, 300): '0eb23e1408cd 6f67209f6ba7 bb0fa364407b',
+    ('cyclic:2', 0.0, 1): '4ff920f32fee',
+    ('cyclic:2', 0.0, 17): '1014f74944f4',
+    ('cyclic:2', 0.0, 256): 'be52eb7e0bf2',
+    ('cyclic:2', 0.0, 257): '04f7e281f199',
+    ('cyclic:2', 0.0, 300): '7112825732aa',
+    ('cyclic:2', 1.3, 1): 'f4ff5d775aed',
+    ('cyclic:2', 1.3, 17): 'd635c534cf27',
+    ('cyclic:2', 1.3, 256): '98d1c51b49f0',
+    ('cyclic:2', 1.3, 257): 'd76c272fecbb',
+    ('cyclic:2', 1.3, 300): '39531987e603',
+    ('cyclic:4', 0.0, 1): 'b54744d79149 c6f970e57ac8',
+    ('cyclic:4', 0.0, 17): 'bef2fc5c2d09 61e83e62373b',
+    ('cyclic:4', 0.0, 256): '7c5b5538886c 4208ffcd00fc',
+    ('cyclic:4', 0.0, 257): '7c2fb33bfbd5 f259b00b471a',
+    ('cyclic:4', 0.0, 300): '9578fda1921e e096bd2cd9e2',
+    ('cyclic:4', 1.3, 1): 'a0657bb6e391 2be1a22d54d7',
+    ('cyclic:4', 1.3, 17): 'ef2b53ac71b9 42446be09fa1',
+    ('cyclic:4', 1.3, 256): 'd3bbf89035ce 9ba397196138',
+    ('cyclic:4', 1.3, 257): '3b082b6be3fd d690468c3e79',
+    ('cyclic:4', 1.3, 300): 'a64199f4c3ca 4562413b1f31',
+    ('cyclic:5', 0.0, 1): 'b54744d79149 5cff4403eaea',
+    ('cyclic:5', 0.0, 17): 'bef2fc5c2d09 13aa051354a4',
+    ('cyclic:5', 0.0, 256): '7c5b5538886c ff699a64c079',
+    ('cyclic:5', 0.0, 257): '7c2fb33bfbd5 4e2981b9296d',
+    ('cyclic:5', 0.0, 300): '9578fda1921e 42060315ff59',
+    ('cyclic:5', 1.3, 1): 'a0657bb6e391 e0f1eabe9a81',
+    ('cyclic:5', 1.3, 17): '6367718ea799 f93b3a1163fa',
+    ('cyclic:5', 1.3, 256): '95d569d9cb49 037cec7bf258',
+    ('cyclic:5', 1.3, 257): '2a243eec898a a9726737b29d',
+    ('cyclic:5', 1.3, 300): '728a409f22b7 9b9415365a2a',
+    ('group:quaternion8', 0.0, 1): '4ff920f32fee c6f970e57ac8 f3e85e063acf f782cb39666a',
+    ('group:quaternion8', 0.0, 17): '1014f74944f4 61e83e62373b 0aaf0f33e8a2 2ff6df4f7c26',
+    ('group:quaternion8', 0.0, 256): 'be52eb7e0bf2 4208ffcd00fc 2f2d29e11ebe d3f848ff0d29',
+    ('group:quaternion8', 0.0, 257): '04f7e281f199 f259b00b471a 1030b43ebcc8 a89dcf226cde',
+    ('group:quaternion8', 0.0, 300): '7112825732aa e096bd2cd9e2 0b8c86a12912 be8dfad580b2',
+    ('group:quaternion8', 1.3, 1): 'f4ff5d775aed 2be1a22d54d7 ab746f767d32 bb7157df2902',
+    ('group:quaternion8', 1.3, 17): 'd635c534cf27 42446be09fa1 bdda61b38d77 a671bd6978ca',
+    ('group:quaternion8', 1.3, 256): '98d1c51b49f0 9ba397196138 ba1796c24787 2b3c49ba202c',
+    ('group:quaternion8', 1.3, 257): 'd76c272fecbb d690468c3e79 f7912af18030 05d6bbf29748',
+    ('group:quaternion8', 1.3, 300): '39531987e603 4562413b1f31 fe777322130e faf9669e9dc3',
+    ('group:dihedral(3)', 0.0, 1): '4ff920f32fee 3f9b0605435b',
+    ('group:dihedral(3)', 0.0, 17): '1014f74944f4 a7321776a18b',
+    ('group:dihedral(3)', 0.0, 256): 'be52eb7e0bf2 3d5081073757',
+    ('group:dihedral(3)', 0.0, 257): '04f7e281f199 abf6d1355ad2',
+    ('group:dihedral(3)', 0.0, 300): '7112825732aa 03342e70d26f',
+    ('group:dihedral(3)', 1.3, 1): 'f4ff5d775aed c8bfe3cc7e80',
+    ('group:dihedral(3)', 1.3, 17): 'd635c534cf27 464e8db1d54d',
+    ('group:dihedral(3)', 1.3, 256): '98d1c51b49f0 a8d5d1265860',
+    ('group:dihedral(3)', 1.3, 257): 'd76c272fecbb c00c4ac9db2a',
+    ('group:dihedral(3)', 1.3, 300): '39531987e603 119a345a7fa8',
+    ('group:cyclic(5)', 0.0, 1): 'b54744d79149 5cff4403eaea',
+    ('group:cyclic(5)', 0.0, 17): 'bef2fc5c2d09 13aa051354a4',
+    ('group:cyclic(5)', 0.0, 256): '7c5b5538886c ff699a64c079',
+    ('group:cyclic(5)', 0.0, 257): '7c2fb33bfbd5 4e2981b9296d',
+    ('group:cyclic(5)', 0.0, 300): '9578fda1921e 42060315ff59',
+    ('group:cyclic(5)', 1.3, 1): 'a0657bb6e391 e0f1eabe9a81',
+    ('group:cyclic(5)', 1.3, 17): '6367718ea799 f93b3a1163fa',
+    ('group:cyclic(5)', 1.3, 256): '95d569d9cb49 037cec7bf258',
+    ('group:cyclic(5)', 1.3, 257): '2a243eec898a a9726737b29d',
+    ('group:cyclic(5)', 1.3, 300): '728a409f22b7 9b9415365a2a',
+    ('circle:1', 0.0, 2000): '171852d0b7af',
+    ('circle:1', 1.3, 2000): '539dd94a1e34',
+    ('cyclic:4', 0.0, 400): '761173b20790 0cb13639c80e',
+    ('cyclic:4', 1.3, 400): 'ac6cc1717b8f af35d3d281ec',
+}
+
+
+def _pinned_sample(name, lam, n):
+    kind, arg = name.split(":")
+    if kind == "circle":
+        return sample_gsynch_circle(int(arg), lam, n, seed=2024)
+    if kind == "cyclic":
+        return sample_gsynch_cyclic(int(arg), lam, n, seed=2024)
+    group, full = build_catalog(arg)
+    return sample_gsynch_group(group, full.nonredundant(), lam, n, seed=2024)
+
+
+@pytest.mark.parametrize("case", list(_CHANNEL_PINS))
+def test_channels_are_pinned_bitwise(case):
+    obs = _pinned_sample(*case)
+    got = " ".join(hashlib.sha256(f.matrix.tobytes()).hexdigest()[:12] for f in obs.freqs)
+    assert got == _CHANNEL_PINS[case]
+
+
+def test_order_2000_channel_memory():
+    # noise, its in-place scaling and the signal tiles, then the single-precision
+    # Lanczos copy: no n x n temporary beyond the observation and that copy
+    tracemalloc.start()
+    try:
+        obs = sample_gsynch_circle(1, 1.5, 2000, seed=1)
+        top_eigenvalue(obs.freqs[0].matrix, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2000 * 2000 * 16
+
+
 def test_snr_validation():
     with pytest.raises(InvalidParameterError):
         sample_gsynch_circle(2, [-0.5, 1.0], 10, seed=0)
@@ -160,6 +283,20 @@ def test_snr_validation():
     group, full = build_cyclic(4)
     with pytest.raises(InvalidParameterError):
         sample_gsynch_group(group, full, 1.0, 10, seed=0)  # full list rejected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, [1.0, np.nan]])
+def test_snr_must_be_finite(snr):
+    group, full = build_catalog("dihedral(3)")
+    samplers = [lambda: sample_gsynch_circle(2, snr, 5, seed=1),
+                lambda: sample_gsynch_cyclic(4, snr, 5, seed=1),
+                lambda: sample_gsynch_group(group, full.nonredundant(), snr, 5, seed=1)]
+    for draw in samplers:
+        with pytest.raises(InvalidParameterError):
+            draw()
+    with pytest.raises(InvalidParameterError):
+        Model("circle", L=1, snr=np.nan).sample(5, 1)
 
 
 # ---------------------------------------------------------------------------
