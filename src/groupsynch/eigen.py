@@ -4,17 +4,29 @@ Small matrices go through the dense LAPACK solver; large ones through
 Lanczos (ARPACK) with a fixed deterministic start vector, so results are
 reproducible run to run.
 
-Both paths run with the bundled OpenBLAS libraries limited to one thread.
-ARPACK's matvecs and the small dense solves are too short to share across
-cores: on two threads they spend most of their time synchronising (about
-20x slower at order 400).  One thread also keeps the eigenvalues from
-depending on the process's thread setting, since threaded complex matvecs
-can round differently in the last bit.
+Both paths run with the bundled OpenBLAS libraries limited to one thread,
+and so does every other public call of the package that reaches BLAS: the
+three observation samplers (their per-tile signal products), the indicator
+change of basis and the group overlap of the Monte-Carlo route.  ARPACK's
+matvecs, the small dense solves and the tile products are too short to
+share across cores: on two threads they spend most of their time
+synchronising (about 20x slower at order 400) and burn a second core for
+nothing.  One thread also keeps results from depending on the process's
+thread setting, since threaded complex products can round differently in
+the last bit.
+
+The limit is one reentrant scope, :func:`_single_thread_blas`: a depth
+count under a lock, shared by every Python thread because the thread counts
+are process-wide.  The outermost entry saves the counts and sets one thread;
+the outermost exit restores them.  Nested public calls therefore pay for the
+ctypes calls once, and overlapping calls from several Python threads keep
+one thread until the last of them leaves.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -77,22 +89,43 @@ def _blas_threads() -> list:
             for lib in _openblas_libraries()]
 
 
+class _ScopeState:
+    """Nesting depth of the one-thread scope and the counts its outermost entry saved."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved = []
+
+
+_SCOPE = _ScopeState()
+
+
 @contextmanager
 def _single_thread_blas():
     """Run the block with every bundled OpenBLAS on one thread, then restore.
 
-    Thread counts are process-wide, so calls from several Python threads at
-    once may restore each other's counts out of order.
+    Reentrant and thread-safe: only the outermost of any nested or
+    overlapping entries, in any Python thread, saves the thread counts and
+    sets one thread, and only the last exit restores them.  Also usable as
+    a decorator, ``@_single_thread_blas()``.
     """
-    libs = _openblas_libraries()
-    previous = [lib.get_threads() for lib in libs]
-    for lib in libs:
-        lib.set_threads(1)
+    with _SCOPE.lock:
+        if _SCOPE.depth == 0:
+            libs = _openblas_libraries()
+            _SCOPE.saved = [(lib, lib.get_threads()) for lib in libs]
+            for lib in libs:
+                lib.set_threads(1)
+        _SCOPE.depth += 1
     try:
         yield
     finally:
-        for lib, count in zip(libs, previous):
-            lib.set_threads(count)
+        with _SCOPE.lock:
+            _SCOPE.depth -= 1
+            if _SCOPE.depth == 0:
+                for lib, count in _SCOPE.saved:
+                    lib.set_threads(count)
+                _SCOPE.saved = []
 
 
 def _tiles(n: int):
@@ -135,6 +168,7 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+@_single_thread_blas()
 def top_eigenvalue(h: np.ndarray, tol: float = 1e-8, maxiter: int = None) -> float:
     """Largest eigenvalue of a Hermitian matrix ``h`` within ``tol``.
 
@@ -148,19 +182,18 @@ def top_eigenvalue(h: np.ndarray, tol: float = 1e-8, maxiter: int = None) -> flo
         raise InvalidParameterError("tol must be finite and nonnegative")
     if maxiter is not None and maxiter < 1:
         raise InvalidParameterError("maxiter must be positive")
-    with _single_thread_blas():
-        h = _check_hermitian(h)
-        n = h.shape[0]
-        if n <= _DENSE_CUTOFF:
-            return float(np.linalg.eigvalsh(h)[-1])
-        v0 = _start_vector(n)
-        if tol >= 1e-4:
-            h = h.astype(np.complex64 if np.iscomplexobj(h) else np.float32)
-            v0 = v0.astype(np.float32)
-        try:
-            vals = eigsh(h, k=1, which="LA", tol=tol, v0=v0,
-                         maxiter=maxiter, return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise NonConvergenceError(
-                f"Lanczos did not converge within the iteration limit: {exc}") from exc
-        return float(vals[0].real)
+    h = _check_hermitian(h)
+    n = h.shape[0]
+    if n <= _DENSE_CUTOFF:
+        return float(np.linalg.eigvalsh(h)[-1])
+    v0 = _start_vector(n)
+    if tol >= 1e-4:
+        h = h.astype(np.complex64 if np.iscomplexobj(h) else np.float32)
+        v0 = v0.astype(np.float32)
+    try:
+        vals = eigsh(h, k=1, which="LA", tol=tol, v0=v0,
+                     maxiter=maxiter, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NonConvergenceError(
+            f"Lanczos did not converge within the iteration limit: {exc}") from exc
+    return float(vals[0].real)

@@ -11,13 +11,18 @@ Entry conventions:
 
 Hermiticity is exact by construction: the strict upper triangle (or upper
 block triangle) is drawn and mirrored, never symmetrized after the fact.
-The draw fills the strict upper triangle in one boolean-mask assignment,
-row-major, the order of ``np.triu_indices``.  The mirror then walks the
-upper block triangle in square tiles of 256 (``eigen._tiles``): each
-off-diagonal tile's conjugate transpose is copied onto its lower partner,
-and each diagonal tile copies its own strict upper part onto its strict
-lower part.  No triangle index arrays and no full transposed copy are
-made, and the tiles stay in cache at large n.
+The private drawers ``_upper_goe``, ``_upper_gue`` and ``_upper_gse`` fill
+the diagonal and the strict upper triangle, row-major in the order of
+``np.triu_indices``, through one boolean-mask assignment, and leave the
+strict lower triangle zero.  ``sample_goe``, ``sample_gue`` and
+``sample_gse`` are those draws followed by :func:`_mirror_upper`, which
+walks the upper block triangle in square tiles of 256 (``eigen._tiles``):
+each off-diagonal tile's conjugate transpose is copied onto its lower
+partner, and each diagonal tile copies its own strict upper part onto its
+strict lower part (:func:`_mirror_tile`).  No triangle index arrays and no
+full transposed copy are made, and the tiles stay in cache at large n.  The
+observation samplers in ``models`` take the unmirrored draws and mirror
+each tile in the same pass that scales it and adds the signal.
 Sampling is a pure function of (kind, seed) via counter-based Philox streams.
 """
 from __future__ import annotations
@@ -67,26 +72,34 @@ class NoiseMatrix:
     seed: int
 
 
+def _mirror_tile(w: np.ndarray, rows: slice, cols: slice) -> None:
+    """Copy upper tile (rows, cols)'s conjugate transpose onto (cols, rows).
+
+    On a diagonal tile (rows == cols) only the strict upper part is copied,
+    onto the strict lower part; the diagonal is left as it is.
+    """
+    if rows == cols:
+        k = rows.stop - rows.start
+        np.copyto(w[rows, rows], w[rows, rows].conj().T, where=np.tri(k, k, -1, dtype=bool))
+    else:
+        w[cols, rows] = w[rows, cols].conj().T
+
+
 def _mirror_upper(w: np.ndarray) -> np.ndarray:
     """Set w[j, i] = conj(w[i, j]) for every i < j, tile by tile; returns ``w``."""
     for rows, cols in _tiles(len(w)):
-        if rows == cols:
-            k = rows.stop - rows.start
-            np.copyto(w[rows, rows], w[rows, rows].conj().T,
-                      where=np.tri(k, k, -1, dtype=bool))
-        else:
-            w[cols, rows] = w[rows, cols].conj().T
+        _mirror_tile(w, rows, cols)
     return w
 
 
-def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
+def _upper_goe(n: int, rng: np.random.Generator) -> np.ndarray:
     w = np.zeros((n, n))
     w[~np.tri(n, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
     w[np.diag_indices(n)] = np.sqrt(2.0) * rng.standard_normal(n)
-    return _mirror_upper(w)
+    return w
 
 
-def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
+def _upper_gue(n: int, rng: np.random.Generator) -> np.ndarray:
     m = n * (n - 1) // 2
     vals = np.empty(m, dtype=complex)
     vals.real = rng.standard_normal(m)
@@ -95,11 +108,11 @@ def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
     w = np.zeros((n, n), dtype=complex)
     w[~np.tri(n, dtype=bool)] = vals
     w[np.diag_indices(n)] = rng.standard_normal(n)
-    return _mirror_upper(w)
+    return w
 
 
-def sample_gse(n: int, rng: np.random.Generator) -> np.ndarray:
-    """2n x 2n Hermitian matrix of quaternionic blocks.
+def _upper_gse(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Diagonal and upper block triangle of a 2n x 2n quaternionic matrix.
 
     One draw of n + 2n(n-1) normals, read row by row: a_i, then four
     coefficients for each block (i, j > i), as a per-row loop would draw them.
@@ -114,7 +127,20 @@ def sample_gse(n: int, rng: np.random.Generator) -> np.ndarray:
     blocks[~np.tri(n, dtype=bool)] = np.stack(
         [top, off, -off.conj(), top.conj()], axis=-1).reshape(-1, 2, 2)
     w[np.diag_indices(2 * n)] = np.repeat(np.sqrt(0.5) * z[starts], 2)
-    return _mirror_upper(w)
+    return w
+
+
+def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _mirror_upper(_upper_goe(n, rng))
+
+
+def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _mirror_upper(_upper_gue(n, rng))
+
+
+def sample_gse(n: int, rng: np.random.Generator) -> np.ndarray:
+    """2n x 2n Hermitian matrix of quaternionic blocks (see ``_upper_gse``)."""
+    return _mirror_upper(_upper_gse(n, rng))
 
 
 _SAMPLERS = {"GOE": sample_goe, "GUE": sample_gue, "GSE": sample_gse}

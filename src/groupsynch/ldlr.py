@@ -47,6 +47,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .eigen import _single_thread_blas
 from .errors import (DivergentSeriesError, InvalidParameterError,
                      NumericalOverflowError, ResourceLimitError)
 from .groups import FiniteGroup, IrrepList
@@ -377,6 +378,7 @@ def ldlr_from_md(prior: str, L: int, n: int, lam, D: int, exact: bool = False,
 # Monte-Carlo overlap route
 # ---------------------------------------------------------------------------
 
+@_single_thread_blas()
 def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts):
     """Overlap statistic via irrep matrices: sum_rho (beta_rho d_rho / 2) *
     ||sum_g n_g rho(g)||_F^2 over a nonredundant list.
@@ -431,10 +433,13 @@ def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> np.ndarray
     rng = make_rng(seed, 71)
     lam2_over_n = model.snr ** 2 / n
     if model.kind == "circle":
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(samples, n))
-        stat = np.zeros(samples)
-        for ell in range(1, model.L + 1):
-            stat += np.abs(np.exp(1j * ell * phases).sum(axis=1)) ** 2
+        # one complex exp shared by all frequencies: x^ell = x^(ell-1) x
+        unit = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(samples, n)))
+        power = unit.copy()
+        stat = np.abs(power.sum(axis=1)) ** 2
+        for _ in range(1, model.L):
+            power *= unit
+            stat += np.abs(power.sum(axis=1)) ** 2
     elif model.kind == "cyclic":
         counts = _draw_counts(rng, model.L, samples, n)
         stat = 0.5 * (model.L * (counts.astype(float) ** 2).sum(axis=1) - float(n) ** 2)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles
-from .eigen import _tiles
+from .eigen import _single_thread_blas, _tiles
 from .errors import InvalidParameterError
 from .groups import FiniteGroup, Irrep, IrrepList, build_cyclic, regular_rep_unitary
 from .rng import make_rng
@@ -49,8 +49,9 @@ _SIGNAL_STREAM = 0
 _NOISE_STREAM = 1
 
 
-_NOISE = {"real": ensembles.sample_goe, "complex": ensembles.sample_gue,
-          "quaternionic": ensembles.sample_gse}
+# unmirrored noise draws: _channel mirrors each tile in its own pass
+_UPPER_NOISE = {"real": ensembles._upper_goe, "complex": ensembles._upper_gue,
+                "quaternionic": ensembles._upper_gse}
 
 
 @dataclass(frozen=True)
@@ -131,30 +132,46 @@ def _channel(x: np.ndarray, lam: float, d: int, type_tag: str, rng,
     """(lam/n) X X* plus the type's noise ensemble of size n d, scaled by 1/sqrt(n d).
 
     ``x`` stacks n square signal blocks vertically (1 x 1 for the circle and
-    cyclic priors).  The noise is scaled in place, then the signal is added
-    over the tiles of the upper block triangle (``eigen._tiles``): on tile
-    (I, J) it is 0.5 (A + B*) with A = (lam/n) X_I X_J* and B the same
-    product for (J, I), which cancels the 1-ulp asymmetry of floating outer
-    products (B = A on diagonal tiles), and the tile's conjugate transpose
-    is copied onto (J, I).  The noise is mirrored at construction, so the
-    observation is exactly Hermitian, and no n x n temporary is formed.
-    Every sampler goes through these per-tile matmuls, so the cyclic and
+    cyclic priors).  The noise is drawn on its diagonal and upper triangle
+    only (``ensembles._upper_*``, the same stream as ``sample_goe/gue/gse``),
+    and the rest is one pass over the tiles of the upper block triangle
+    (``eigen._tiles``).  Each tile is divided in place by sqrt(n d) and gets
+    the signal 0.5 (A + B*), with A = (lam/n) X_I X_J* and B the same product
+    for (J, I), which cancels the 1-ulp asymmetry of floating outer products
+    (B = A on diagonal tiles); an off-diagonal tile's conjugate transpose is
+    then copied onto (J, I).  At lam = 0 off-diagonal tiles skip the
+    products, since adding zeros leaves their (nonzero) entries unchanged.
+    A diagonal tile mirrors its scaled noise before the signal is added and
+    adds it even at lam = 0, so every channel equals the mirrored
+    ``sample_goe/gue/gse`` draw, scaled, plus the signal, bit for bit: for
+    imaginary parts +0 and -0, conj(a + b) has imaginary part -0 where
+    conj(a) + conj(b) has +0, and the exact zeros inside the GSE 2 x 2
+    diagonal blocks would change sign under any other order.
+    The observation is exactly Hermitian, no n x n temporary is formed, and
+    every sampler goes through these per-tile matmuls, so the cyclic and
     group samplers of the same prior agree bit for bit.
     """
     n = x.shape[0] // x.shape[1]
-    y = _NOISE[type_tag](n * d, rng)
-    np.divide(y, np.sqrt(n * d), out=y)
+    y = _UPPER_NOISE[type_tag](n * d, rng)
+    scale = np.sqrt(n * d)
     xh = x.conj()
     for rows, cols in _tiles(len(y)):
-        a = (lam / n) * (x[rows] @ xh[cols].T)
-        b = a if rows == cols else (lam / n) * (x[cols] @ xh[rows].T)
-        sig = 0.5 * (a + b.conj().T)
-        y[rows, cols] += sig.real if type_tag == "real" else sig
-        if rows != cols:
-            y[cols, rows] = y[rows, cols].conj().T
+        tile = y[rows, cols]
+        np.divide(tile, scale, out=tile)
+        diagonal = rows == cols
+        if diagonal:
+            ensembles._mirror_tile(y, rows, cols)
+        if diagonal or lam != 0:
+            a = (lam / n) * (x[rows] @ xh[cols].T)
+            b = a if diagonal else (lam / n) * (x[cols] @ xh[rows].T)
+            sig = 0.5 * (a + b.conj().T)
+            tile += sig.real if type_tag == "real" else sig
+        if not diagonal:
+            ensembles._mirror_tile(y, rows, cols)
     return FrequencyObservation(y, float(lam), d, type_tag, label)
 
 
+@_single_thread_blas()
 def sample_gsynch_circle(L: int, snr, n: int, seed=None, signal=None) -> SynchObservation:
     """Circle-prior observation with ``L`` frequency channels, all complex."""
     if L < 1:
@@ -170,6 +187,7 @@ def sample_gsynch_circle(L: int, snr, n: int, seed=None, signal=None) -> SynchOb
     return SynchObservation(freqs, f"circle(L={L})", n, seed)
 
 
+@_single_thread_blas()
 def sample_gsynch_cyclic(L: int, snr, n: int, seed=None, signal=None) -> SynchObservation:
     """Cyclic-prior observation over frequencies 1..floor(L/2).
 
@@ -199,6 +217,7 @@ def _irrep_stack(irrep: Irrep, u: np.ndarray) -> np.ndarray:
     return mats.reshape(len(u) * irrep.dim, irrep.dim)
 
 
+@_single_thread_blas()
 def sample_gsynch_group(group: FiniteGroup, irreps: IrrepList, snr, n: int,
                         seed=None, signal=None) -> SynchObservation:
     """Observation per irrep in a nonredundant list, noise matched to type."""
@@ -305,6 +324,7 @@ def sample_indicator(group: FiniteGroup, n: int, gamma: float, seed=None,
     return IndicatorObservation(z, float(gamma), u, n, seed)
 
 
+@_single_thread_blas()
 def indicator_to_canonical(obs: IndicatorObservation, group: FiniteGroup,
                            irreps: IrrepList) -> SynchObservation:
     """Change basis from score tables to per-irrep canonical observations.

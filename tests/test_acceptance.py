@@ -2,10 +2,10 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or ``-rA``)
 and asserts the same condition, so the suite doubles as a human-readable
-verification report.  The whole module takes about 3.2 minutes on two cores,
-2.9 of them in the BBP detection check (test 06), which samples and
+verification report.  The whole module takes about 2.6 minutes on two cores,
+2.3 of them in the BBP detection check (test 06), which samples and
 decomposes 350 order-2000 observations; the appendix bound suites (test 05)
-take about 2.5 s.
+take about 2 s.
 """
 import math
 import time

@@ -1,4 +1,6 @@
-"""The one-thread OpenBLAS scope around the eigen solvers."""
+"""The one-thread OpenBLAS scope around every BLAS-reaching public call."""
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 import scipy
 from scipy.sparse.linalg import eigsh
 
-from groupsynch import eigen
+from groupsynch import eigen, ldlr, models
 from groupsynch.errors import NonConvergenceError
+from groupsynch.groups import build_catalog
 from groupsynch.rng import make_rng
 
 LIBS = eigen._openblas_libraries()
@@ -88,3 +91,109 @@ def test_lanczos_matches_unscoped_eigsh_bit_for_bit(two_threads):
     direct = eigsh(h, k=1, which="LA", tol=1e-8, v0=eigen._start_vector(400),
                    return_eigenvectors=False)
     assert eigen.top_eigenvalue(h) == float(direct[0])
+
+
+def test_nested_scopes_restore_only_on_the_outermost_exit(two_threads):
+    with eigen._single_thread_blas():
+        with eigen._single_thread_blas():
+            assert _threads() == [1] * len(LIBS)
+        assert _threads() == [1] * len(LIBS)
+        with eigen._single_thread_blas():
+            pass
+        assert _threads() == [1] * len(LIBS)
+    assert _threads() == two_threads
+
+
+def test_overlapping_scopes_in_two_threads(two_threads):
+    # a enters, b enters, a leaves while b is still inside, then b leaves
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def first():
+        with eigen._single_thread_blas():
+            a_in.set()
+            b_in.wait(10)
+            seen["a"] = _threads()
+        a_out.set()
+
+    def second():
+        a_in.wait(10)
+        with eigen._single_thread_blas():
+            b_in.set()
+            a_out.wait(10)
+            seen["b"] = _threads()
+
+    workers = [threading.Thread(target=first), threading.Thread(target=second)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(10)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == {"a": [1] * len(LIBS), "b": [1] * len(LIBS)}
+    assert _threads() == two_threads
+
+
+def test_scope_depth_survives_many_threads(two_threads):
+    # more threads than cores, switching often: a lost depth update would
+    # restore two threads inside a scope or leave one thread set at the end
+    bad = []
+
+    def churn():
+        for _ in range(200):
+            with eigen._single_thread_blas():
+                with eigen._single_thread_blas():
+                    if _threads() != [1] * len(LIBS):
+                        bad.append(_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == [] and eigen._SCOPE.depth == 0
+    assert _threads() == two_threads
+
+
+def _recording(seen, fn):
+    def call(*args, **kwargs):
+        seen.append(_threads())
+        return fn(*args, **kwargs)
+    return call
+
+
+def test_channel_tiles_run_inside_the_scope(two_threads, monkeypatch):
+    seen = []
+
+    def tiles(n):
+        for tile in eigen._tiles(n):
+            seen.append(_threads())
+            yield tile
+
+    monkeypatch.setattr(models, "_tiles", tiles)
+    group, full = build_catalog("quaternion8")
+    models.sample_gsynch_circle(2, 1.3, 300, seed=1)
+    models.sample_gsynch_cyclic(4, 1.3, 300, seed=1)
+    models.sample_gsynch_group(group, full.nonredundant(), 1.3, 150, seed=1)
+    # three tiles per order-300 channel, one per order-150 channel
+    assert seen == [[1] * len(LIBS)] * (3 * 2 + 3 * 2 + 3 + 1 * 3)
+    assert _threads() == two_threads
+
+
+def test_change_of_basis_and_overlaps_run_inside_the_scope(two_threads, monkeypatch):
+    seen = []
+    monkeypatch.setattr(np, "tensordot", _recording(seen, np.tensordot))
+    group, full = build_catalog("dihedral(3)")
+    obs = models.sample_indicator(group, 20, 1.0, seed=1)
+    models.indicator_to_canonical(obs, group, full)
+    assert len(seen) == 2 and _threads() == two_threads       # the two nontrivial irreps
+    irreps = full.nonredundant()
+    ldlr.group_overlap_stat(group, irreps, np.ones((5, group.order)))
+    ldlr.sample_overlaps(models.Model("group", snr=1.0, group=group, irreps=irreps), 10, 100, seed=1)
+    assert seen == [[1] * len(LIBS)] * (2 + 2 * len(irreps))
+    assert _threads() == two_threads

@@ -242,6 +242,13 @@ _CHANNEL_PINS = {
     ('circle:1', 1.3, 2000): '539dd94a1e34',
     ('cyclic:4', 0.0, 400): '761173b20790 0cb13639c80e',
     ('cyclic:4', 1.3, 400): 'ac6cc1717b8f af35d3d281ec',
+    # three tile rows: off-diagonal tiles (0, 2) away from the diagonal
+    ('circle:1', 0.0, 513): '1d0bf6492f75',
+    ('circle:1', 1.3, 513): '9a741d7701a1',
+    ('cyclic:4', 0.0, 513): '1d0bf6492f75 907e306a0942',
+    ('cyclic:4', 1.3, 513): '3be94e19abe7 4a8ab846c4d8',
+    ('group:quaternion8', 0.0, 513): '8003c6979893 907e306a0942 21c8ea3e8822 61bbbae52fcc',
+    ('group:quaternion8', 1.3, 513): '4f5e0b0fe721 4a8ab846c4d8 a8553781f935 71bfa89169b3',
 }
 
 
