@@ -82,7 +82,7 @@ def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
     ``distribution`` is "rademacher" or ("bernoulli", p); the sum's law is a
     shifted binomial either way, so the left side is an exact finite sum.
     """
-    if alpha < 0 or alpha > 10:
+    if not 0 <= alpha <= 10:     # NaN fails too
         raise InvalidParameterError("alpha must lie in [0, 10]")
     if n < 1 or n > 10 ** 4:
         raise InvalidParameterError("n must lie in [1, 1e4]")
@@ -107,13 +107,15 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float,
     most n, computes both sides exactly, and reports the smallest margin
     rhs - lhs together with any violations.
     """
+    if n < 0:
+        raise InvalidParameterError("n must be nonnegative")
     if not (2 < L and 1 <= k < L):
         raise InvalidParameterError("need L > 2 and 1 <= k < L")
     alpha = [float(a) for a in alpha]
-    if len(alpha) != k or any(a < 0 for a in alpha):
-        raise InvalidParameterError("alpha must have k nonnegative entries")
-    if gamma < 0:
-        raise InvalidParameterError("gamma must be nonnegative")
+    if len(alpha) != k or any(not 0 <= a < math.inf for a in alpha):
+        raise InvalidParameterError("alpha must have k finite nonnegative entries")
+    if not 0 <= gamma < math.inf:
+        raise InvalidParameterError("gamma must be finite and nonnegative")
 
     n_tuples = math.comb(n + k - 1, k - 1)
     if n_tuples > tuple_budget:

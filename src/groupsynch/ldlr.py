@@ -22,7 +22,11 @@ multinomial law of the counts.  Two count statistics appear:
 Routes:
 
   * :func:`ldlr_exact_multinomial` sums over the law of Q = sum n_g^2, the
-    only way both statistics depend on the counts (rationals or log floats);
+    only way both statistics depend on the counts (rationals or log floats).
+    The law comes from a dynamic programme over cells that sorts each cell's
+    states on one int64 key; the float path reduces a block of degrees at
+    once with one log-sum-exp along Q.  Every term is bit for bit what a
+    lexicographic (mass, Q) sort and one log-sum-exp per degree give;
   * :func:`ldlr_bruteforce_signals` enumerates all L^n signal assignments
     and evaluates 2s on each count vector (the independent oracle for the
     multinomial route);
@@ -71,6 +75,11 @@ __all__ = [
 # Largest C(n+L-1, L-1) (count vectors) the multinomial route accepts
 DEFAULT_BUDGET = 10 ** 7
 
+# Entries of a 2-D block held at once (512 KB of float64 or int64, so a
+# block and its temporaries stay in cache): degrees by values of Q in the
+# float multinomial route, samples by signal entries in the Monte-Carlo draws
+_CHUNK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class LdlrReport:
@@ -117,6 +126,7 @@ def first_moment_via_binomial(L: int, n: int, exact: bool = True):
     Sums (L/2) * E (n_g - n/L)^2 over g using the exact Binomial(n, 1/L)
     law of each count; independent of the closed form n(L-1)/2.
     """
+    _check_route_args(L, n, 0, 0, min_L=1)
     if exact:
         # integer accumulation of sum_k C(n,k) (L-1)^(n-k) (kL - n)^2, then
         # E[s] = L * (L/2) * E(n_g - n/L)^2 = num / (2 L^n)
@@ -175,7 +185,11 @@ def _occupancy_law(L: int, n: int, exact: bool):
 
     A dynamic programme over cells with state (mass used m, partial Q); each
     cell expands every state over its count c = 0..n-m (the last takes n-m)
-    and equal states merge.  No array exceeds C(n+L-1, L-1) entries.
+    and equal states merge.  Cell 0's states (c, c^2) are distinct and in
+    order; every later cell sorts its states stably on the one int64 key
+    (m - min m) * (n^2 + 1) + Q, which orders them as (m, Q) does, so each
+    merge sums the same weights in the same order as a lexicographic sort.
+    No array exceeds C(n+L-1, L-1) entries.
     """
     if exact:
         weight, merge = np.array([1], dtype=object), np.add
@@ -199,11 +213,14 @@ def _occupancy_law(L: int, n: int, exact: bool):
             else:
                 weight = weight[src] + (log_fact[r] - log_fact[c] - log_fact[r - c])
             mass, q = mass[src] + c, q[src] + c * c
-        order = np.lexsort((q, mass))
-        mass, q = mass[order], q[order]
-        starts = np.flatnonzero((np.diff(mass, prepend=-1) != 0) | (np.diff(q, prepend=-1) != 0))
-        weight = merge.reduceat(weight[order], starts)
-        mass, q = mass[starts], q[starts]
+            del src, c, r   # free them before the sort, where the law peaks
+        if cell > 0:
+            key = (mass - mass.min()) * (n * n + 1) + q
+            order = np.argsort(key, kind="stable")
+            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+            weight = merge.reduceat(weight[order], starts)
+            first = order[starts]
+            mass, q = mass[first], q[first]
     # normalising by the weights' own log-sum-exp, rather than subtracting
     # n log L, cancels the rounding of log n! that every log weight shares
     return q, weight if exact else weight - logsumexp(weight)
@@ -215,14 +232,22 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
     """Terms t_d = lam^(2d) / (n^d d!) * E[s^d] over the law of Q = sum n_g^2.
 
     ``exact=True`` uses big rationals; the float path reduces log(p * s^d)
-    with log-sum-exp, so large n and d stay finite.  ``budget`` caps the
-    count vectors C(n+L-1, L-1), which bound the law's largest array.
+    with log-sum-exp, so large n and d stay finite.  It takes the degrees in
+    blocks of at most ``_CHUNK_ENTRIES`` (degree, Q) entries, one log-sum-exp
+    along Q per block; each row equals that degree's own one-dimensional
+    log-sum-exp bit for bit.  A term past the float range raises
+    :class:`NumericalOverflowError` naming its degree, before any ``exp``.
+    ``budget`` caps the count vectors C(n+L-1, L-1), which bound the law's
+    largest array; an n whose sort key would pass int64 (L >= 3, n above
+    about 2.1e6) raises :class:`ResourceLimitError` as well.
     """
     _check_statistic(statistic)
     _check_route_args(L, n, lam, D)
     total = math.comb(n + L - 1, L - 1)
     if total > budget:
         raise ResourceLimitError(f"{total} count vectors exceed the budget of {budget}")
+    if L > 2 and n * (n * n + 1) + n * n > np.iinfo(np.int64).max:   # a middle cell's key
+        raise ResourceLimitError(f"n = {n} puts the occupancy sort key past int64")
     q, weight = _occupancy_law(L, n, exact)
     params = {"L": L, "n": n, "lam": float(lam), "D": D, "statistic": statistic,
               "exact": exact}
@@ -230,23 +255,29 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
     # Q <= n^2, so 2s stays exact in int64
     twice_s = L * q - n * n if statistic == "pearson" else 2 * L * q
     if exact:
-        twice_s = twice_s.astype(object)
-        terms = tuple(Fraction(lam) ** (2 * d) * Fraction(
-            int((weight * twice_s ** d).sum()), 2 ** d * L ** n * n ** d * math.factorial(d))
-            for d in range(D + 1))
-        return LdlrReport(terms, "exact-multinomial", params)
+        twice_s, power, terms = twice_s.astype(object), weight, []
+        for d in range(D + 1):      # power = weight * (2s)^d, one product per degree
+            terms.append(Fraction(lam) ** (2 * d) * Fraction(
+                int(power.sum()), 2 ** d * L ** n * n ** d * math.factorial(d)))
+            power = power * twice_s
+        return LdlrReport(tuple(terms), "exact-multinomial", params)
 
     pos = twice_s > 0      # never empty: all mass in one cell gives s > 0
     logs, logw = np.log(0.5 * twice_s[pos]), weight[pos]
-    lam = float(lam)
+    log_lam = np.log(float(lam)) if lam > 0 else -np.inf
+    log_max = math.log(np.finfo(float).max)    # exp(x) is finite iff x <= log_max
     terms = [1.0]
-    for d in range(1, D + 1):
-        log_td = (2 * d * np.log(lam) if lam > 0 else -np.inf) \
-            + logsumexp(logw + d * logs) - d * np.log(n) - gammaln(d + 1)
-        td = float(np.exp(log_td))
-        if not np.isfinite(td):
-            raise NumericalOverflowError(f"term {d} overflowed; rerun with exact=True")
-        terms.append(td)
+    rows = max(1, _CHUNK_ENTRIES // len(logs))
+    for start in range(1, D + 1, rows):
+        # each row's log-sum-exp runs along a contiguous axis, so it equals the
+        # one-dimensional reduction of that degree bit for bit
+        d = np.arange(start, min(start + rows, D + 1))
+        log_td = 2 * d * log_lam \
+            + logsumexp(logw + d[:, None] * logs, axis=1) - d * np.log(n) - gammaln(d + 1)
+        bad = np.flatnonzero(~(log_td <= log_max))     # a NaN counts as overflow
+        if len(bad):
+            raise NumericalOverflowError(f"term {d[bad[0]]} overflowed; rerun with exact=True")
+        terms.extend(np.exp(log_td).tolist())
     return LdlrReport(tuple(terms), "exact-multinomial", params)
 
 
@@ -398,10 +429,6 @@ def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts):
         fhat = np.tensordot(counts, irrep.matrices, axes=(-1, 0))
         total = total + 0.5 * beta * irrep.model_dim * (np.abs(fhat) ** 2).sum(axis=(-2, -1))
     return float(total) if counts.ndim == 1 else total
-
-
-# Entries of the (rows, n) index draw that the Monte-Carlo route holds at once
-_CHUNK_ENTRIES = 1 << 20
 
 
 def _draw_counts(rng, order: int, samples: int, n: int) -> np.ndarray:

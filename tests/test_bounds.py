@@ -56,6 +56,18 @@ def test_clt_parameter_validation():
         check_clt_moment_bound("rademacher", 10 ** 5, 2)
     with pytest.raises(InvalidParameterError):
         check_clt_moment_bound(("bernoulli", 1.5), 100, 2)
+    with pytest.raises(InvalidParameterError):
+        check_clt_moment_bound("rademacher", 10, float("nan"))
+
+
+@pytest.mark.parametrize("n,alpha,gamma", [(-1, (1, 1), 0),
+                                           (5, (1, float("nan")), 0),
+                                           (5, (1, float("inf")), 0),
+                                           (5, (1, 1), float("nan")),
+                                           (5, (1, 1), float("inf"))])
+def test_t_recursion_rejects_bad_input(n, alpha, gamma):
+    with pytest.raises(InvalidParameterError):
+        check_t_recursion(4, n, 2, alpha, gamma)
 
 
 @pytest.mark.parametrize("p", [1 / 3, 0.5, 0.9])

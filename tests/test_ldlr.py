@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from groupsynch import ldlr
 from groupsynch.errors import (DivergentSeriesError, InvalidParameterError,
@@ -77,6 +78,13 @@ def test_s_stat_power_decomposition(L, counts, d):
                      * base ** (2 * parts[ell - 1]))
         total += term
     assert Fraction(L, 2) ** d * total == s ** d
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("L,n", [(0, 5), (3, -1), (3, 0)])
+def test_first_moment_rejects_bad_sizes(exact, L, n):
+    with pytest.raises(InvalidParameterError):
+        first_moment_via_binomial(L, n, exact=exact)
 
 
 def test_first_moment_closed_form():
@@ -192,6 +200,126 @@ def test_report_invariants_and_monotonicity():
     # monotone in snr
     lo = ldlr_exact_multinomial(3, 12, 0.5, 6)
     assert float(lo.cumulative) <= float(rep.cumulative)
+
+
+# ---------------------------------------------------------------------------
+# The one-key sort and the chunked reduction against a reference
+# ---------------------------------------------------------------------------
+
+def _reference_law(L, n, exact):
+    """The cell DP merged after a lexicographic (mass, Q) sort of every cell,
+    cell 0 included: the law as the route computed it before its one-key sort."""
+    if exact:
+        weight, merge = np.array([1], dtype=object), np.add
+    else:
+        log_fact = gammaln(np.arange(n + 1) + 1.0)
+        weight, merge = np.zeros(1), np.logaddexp
+    mass = q = np.zeros(1, dtype=np.int64)
+    for cell in range(L):
+        rest = n - mass
+        if cell == L - 1:
+            mass, q = mass + rest, q + rest * rest
+        else:
+            src, c = ldlr._expand_over_mass(rest)
+            r = rest[src]
+            if exact:
+                weight = weight[src] * np.array(
+                    [math.comb(k, j) for k, j in zip(r.tolist(), c.tolist())], dtype=object)
+            else:
+                weight = weight[src] + (log_fact[r] - log_fact[c] - log_fact[r - c])
+            mass, q = mass[src] + c, q[src] + c * c
+        order = np.lexsort((q, mass))
+        mass, q = mass[order], q[order]
+        starts = np.flatnonzero((np.diff(mass, prepend=-1) != 0) | (np.diff(q, prepend=-1) != 0))
+        weight = merge.reduceat(weight[order], starts)
+        mass, q = mass[starts], q[starts]
+    return q, weight if exact else weight - logsumexp(weight)
+
+
+def _reference_terms(L, n, lam, D, law, statistic):
+    """Terms from a law: one power (2s)^d per degree on the exact path, one
+    log-sum-exp call per degree on the float path."""
+    q, weight = law
+    twice_s = L * q - n * n if statistic == "pearson" else 2 * L * q
+    if weight.dtype == object:
+        twice_s = twice_s.astype(object)
+        return tuple(Fraction(lam) ** (2 * d) * Fraction(
+            int((weight * twice_s ** d).sum()), 2 ** d * L ** n * n ** d * math.factorial(d))
+            for d in range(D + 1))
+    pos = twice_s > 0
+    logs, logw = np.log(0.5 * twice_s[pos]), weight[pos]
+    terms = [1.0]
+    for d in range(1, D + 1):
+        log_td = (2 * d * np.log(lam) if lam > 0 else -np.inf) \
+            + logsumexp(logw + d * logs) - d * np.log(n) - gammaln(d + 1)
+        terms.append(float(np.exp(log_td)))
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("L,ns", [(2, (1, 2, 3, 7, 16, 57, 128, 400)),
+                                  (3, (1, 2, 3, 5, 16, 57, 128, 400)),
+                                  (5, (1, 2, 5, 16, 40)),
+                                  (9, (1, 2, 5, 12))])
+def test_multinomial_terms_equal_lexsort_reference(L, ns):
+    # term d does not depend on D, so the degree-60 reference serves every D
+    for n, exact in itertools.product(ns, (False, True)):
+        law = _reference_law(L, n, exact)
+        for lam, statistic in itertools.product((0.0, 0.9, 1.5), ("pearson", "all_frequencies")):
+            want = _reference_terms(L, n, lam, 60, law, statistic)
+            for D in (0, 1, int(n ** 0.3), 60):
+                got = ldlr_exact_multinomial(L, n, lam, D, exact=exact,
+                                             statistic=statistic).terms
+                assert got == want[:D + 1], (L, n, D, lam, statistic, exact)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 59, 60, 61])
+def test_chunked_degrees_equal_one_chunk(monkeypatch, rows):
+    # 59 rows leave degree 60 alone in the second chunk
+    L, n = 3, 50
+    law = _reference_law(L, n, False)
+    blocks = []
+
+    def logsumexp_recorded(a, axis=None):
+        if a.ndim == 2:
+            blocks.append(a.shape)
+        return logsumexp(a, axis=axis)
+
+    monkeypatch.setattr(ldlr, "logsumexp", logsumexp_recorded)
+    for statistic in ("pearson", "all_frequencies"):
+        q = law[0]
+        values = int(((L * q - n * n if statistic == "pearson" else q) > 0).sum())
+        monkeypatch.setattr(ldlr, "_CHUNK_ENTRIES", rows * values + values - 1)
+        blocks.clear()
+        got = ldlr_exact_multinomial(L, n, 0.9, 60, statistic=statistic).terms
+        assert got == _reference_terms(L, n, 0.9, 60, law, statistic), statistic
+        assert [r for r, _ in blocks] == [rows] * (60 // rows) + [60 % rows] * (60 % rows > 0)
+        assert all(r * v <= ldlr._CHUNK_ENTRIES for r, v in blocks)
+
+
+def test_two_cells_past_the_key_range_of_mass_times_q():
+    # at n = 3e6 a key mass * (n^2 + 1) + Q would pass 2^63; cell 0 needs no
+    # sort and the last cell's key is Q alone
+    n = 3 * 10 ** 6
+    assert n * (n * n + 1) > np.iinfo(np.int64).max
+    rep = ldlr_exact_multinomial(2, n, 0.9, 1, budget=n + 1)
+    assert rep.terms[1] == pytest.approx(0.9 ** 2 / 2, rel=1e-9)    # E s = n (L-1) / 2
+
+
+def test_sort_key_overflow_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(ldlr, "_occupancy_law", lambda *a: pytest.fail("law was built"))
+    n = 2_100_000
+    with pytest.raises(ResourceLimitError, match="int64"):
+        ldlr_exact_multinomial(3, n, 0.9, 1, budget=10 ** 13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam,first", [(1e200, 1), (1e100, 2)])
+def test_float_overflow_is_typed_without_a_warning(monkeypatch, lam, first):
+    with pytest.raises(NumericalOverflowError, match=f"term {first} "):
+        ldlr_exact_multinomial(3, 5, lam, 3)
+    monkeypatch.setattr(ldlr, "_CHUNK_ENTRIES", 1)     # one degree per chunk
+    with pytest.raises(NumericalOverflowError, match=f"term {first} "):
+        ldlr_exact_multinomial(3, 5, lam, 3)
 
 
 # ---------------------------------------------------------------------------
