@@ -32,6 +32,7 @@ two moment primitives:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .errors import InvalidParameterError, NumericalOverflowError, ResourceLimitError
-from .ldlr import _expand_over_mass, moment_table
+from .ldlr import _CHUNK_ENTRIES, _expand_over_mass, moment_table
 
 __all__ = [
     "BoundCheck",
@@ -48,7 +49,7 @@ __all__ = [
     "check_l3_moment_bound",
 ]
 
-_CHUNK_ENTRIES = 1 << 16     # pmf grid entries per binom.pmf call
+_TUPLE_BUDGET = 2 * 10 ** 6     # conditioning tuples one t-recursion check enumerates
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def _moment_constant(a: float) -> float:
 
 def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha: float) -> np.ndarray:
     """E |Binomial(m_i, p) - m_i p|^two_alpha for each m_i, exactly: one binom.pmf
-    call per chunk of _CHUNK_ENTRIES entries, one fsum per row (pmf 0 past m_i)."""
+    call per chunk of ldlr._CHUNK_ENTRIES entries, one fsum per row (pmf 0 past m_i)."""
     rows = max(1, _CHUNK_ENTRIES // (int(m.max()) + 1))
     out = []
     for start in range(0, len(m), rows):
@@ -84,8 +85,8 @@ def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
     """
     if not 0 <= alpha <= 10:     # NaN fails too
         raise InvalidParameterError("alpha must lie in [0, 10]")
-    if n < 1 or n > 10 ** 4:
-        raise InvalidParameterError("n must lie in [1, 1e4]")
+    if not isinstance(n, numbers.Integral) or not 1 <= n <= 10 ** 4:
+        raise InvalidParameterError("n must be an integer in [1, 1e4]")
     if distribution == "rademacher":
         p, sigma2, scale = 0.5, 1.0, 4.0 ** alpha    # sum = 2 Binomial(n, 1/2) - n
     else:
@@ -99,8 +100,7 @@ def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
                       {"distribution": str(distribution), "n": n, "alpha": alpha})
 
 
-def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float,
-                      tuple_budget: int = 2 * 10 ** 6) -> BoundCheck:
+def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck:
     """Verify the elimination-step inequality for every conditioning tuple.
 
     Enumerates all (n_1, .., n_{k-1}) with nonnegative entries summing to at
@@ -118,7 +118,7 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float,
         raise InvalidParameterError("gamma must be finite and nonnegative")
 
     n_tuples = math.comb(n + k - 1, k - 1)
-    if n_tuples > tuple_budget:
+    if n_tuples > _TUPLE_BUDGET:
         raise ResourceLimitError(f"{n_tuples} conditioning tuples exceed the budget")
     tuples = _partial_tuples(n, k - 1)
 

@@ -9,6 +9,7 @@ the asymptotic bulk edge at 2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise InvalidParameterError("significance level must lie in (0, 1)")
-        if self.calibration_trials < 50:
-            raise InvalidParameterError("need at least 50 calibration trials")
+        if not (isinstance(self.calibration_trials, numbers.Integral)
+                and self.calibration_trials >= 50):
+            raise InvalidParameterError("need an integer of at least 50 calibration trials")
         if not 0 <= self.eigen_tol < math.inf:
             raise InvalidParameterError("eigen_tol must be finite and nonnegative")
 
@@ -77,13 +79,13 @@ def detect(obs: SynchObservation, threshold: float, tol: float = 1e-8) -> Detect
     return DetectionVerdict("p" if stat > threshold else "q", vals, float(threshold))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """Wilson score interval at 95 % (z = 1.96) for a binomial proportion."""
     if trials <= 0:
         raise InvalidParameterError("trials must be positive")
     if not 0 <= successes <= trials:
         raise InvalidParameterError("successes must lie in [0, trials]")
-    phat = successes / trials
+    phat, z = successes / trials, 1.96
     denom = 1 + z ** 2 / trials
     center = (phat + z ** 2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z ** 2 / (4 * trials ** 2)) / denom

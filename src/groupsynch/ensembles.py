@@ -27,6 +27,7 @@ Sampling is a pure function of (kind, seed) via counter-based Philox streams.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class EnsembleKind:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise InvalidParameterError(f"unknown ensemble tag {self.tag!r}")
-        if self.n < 1:
-            raise InvalidParameterError("matrix size parameter must be >= 1")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise InvalidParameterError("matrix size parameter must be an integer >= 1")
 
     @property
     def shape(self):

@@ -27,7 +27,8 @@ from . import ldlr as ldlr_mod
 from .detect import DetectorConfig, power_curve
 from .eigen import _blas_threads
 from . import models as models_mod
-from .errors import ConfigError, InvalidParameterError, ResourceLimitError
+from .errors import (ConfigError, InvalidParameterError, NumericalOverflowError,
+                     ResourceLimitError)
 from .groups import build_catalog
 
 __all__ = [
@@ -397,23 +398,18 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
         group, full = build_catalog(name)
         L = group.order
         gamma = snr * math.sqrt(L / n)
-        signal = models_mod.sample_signal(("haar", group), n, seed=cfg.seed)
+        nontrivial = [r for r in full if not r.is_trivial]     # one channel each, in order
+        # noise-free score tables, planted as sample_indicator plants them
+        u = models_mod.sample_signal(("haar", group), n, seed=cfg.seed).values
         scores = np.zeros((n, n, L), dtype=complex)
-        rel = group.mul[np.ix_(signal.values, group.inverse[signal.values])]
-        k_idx, j_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        scores[k_idx, j_idx, rel] += gamma
-        clean = models_mod.IndicatorObservation(scores, gamma, signal.values, n,
-                                                cfg.seed)
+        models_mod._plant(scores, group, u, gamma)
+        clean = models_mod.IndicatorObservation(scores, gamma, u, n, cfg.seed)
         canon = models_mod.indicator_to_canonical(clean, group, full)
+        # each channel against the samplers' own signal (snr/n) X X*
         err = 0.0
-        for freq, irrep in zip(canon.freqs, [r for r in full if not r.is_trivial]):
-            d = irrep.dim
-            for a in range(n):
-                for b in range(n):
-                    blk = freq.matrix[a * d:(a + 1) * d, b * d:(b + 1) * d]
-                    want = (snr / n) * irrep.matrices[signal.values[a]] \
-                        @ irrep.matrices[group.inverse[signal.values[b]]]
-                    err = max(err, float(np.abs(blk - want).max()))
+        for freq, irrep in zip(canon.freqs, nontrivial):
+            x = models_mod._irrep_stack(irrep, u)
+            err = max(err, float(np.abs(freq.matrix - (snr / n) * (x @ x.conj().T)).max()))
         ok = err <= 1e-10
         rows.append({"check": "indicator-signal", "case": name, "n": n,
                      "value": err, "tol": 1e-10, "pass": ok})
@@ -421,22 +417,17 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
             failures.append(f"indicator-signal {name}: err={err}")
 
         vn = p["variance_n"]
-        per_obs = vn * (vn - 1) // 2
-        draws = -(-p["variance_pairs"] // per_obs)
-        sq = None
-        pairs = 0
+        iu = np.triu_indices(vn, 1)
+        draws = -(-p["variance_pairs"] // len(iu[0]))
+        sq = [[] for _ in nontrivial]   # per channel, each draw's squared block entries
         for t in range(draws):
             obs = models_mod.sample_indicator(group, vn, 0.0, seed=cfg.seed + t)
             canon = models_mod.indicator_to_canonical(obs, group, full)
-            if sq is None:
-                sq = [[] for _ in canon.freqs]
-            iu = np.triu_indices(vn, 1)
-            for ci, freq in enumerate(canon.freqs):
+            for freq, chunks in zip(canon.freqs, sq):
                 d = freq.matrix.shape[0] // vn
                 blocks = freq.matrix.reshape(vn, d, vn, d).transpose(0, 2, 1, 3)
-                sq[ci].append(np.abs(blocks[iu]) ** 2)
-            pairs += len(iu[0])
-        for ci, (freq, chunks) in enumerate(zip(canon.freqs, sq)):
+                chunks.append(np.abs(blocks[iu]) ** 2)
+        for freq, chunks in zip(canon.freqs, sq):
             d = freq.matrix.shape[0] // vn
             mean_sq = float(np.mean(np.concatenate(chunks)))
             target = 1.0 / (vn * d)
@@ -447,7 +438,7 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
                          "value": relerr, "tol": p["variance_tol"], "pass": ok})
             if not ok:
                 failures.append(f"indicator-variance {name} {freq.label}: "
-                                f"rel err {relerr} over {pairs} pairs")
+                                f"rel err {relerr} over {draws * len(iu[0])} pairs")
 
     for L in (3, 4):
         via_cyclic = models_mod.sample_gsynch_cyclic(L, snr, n, seed=cfg.seed)
@@ -468,38 +459,42 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
 
 
 def _run_phase_diagram(cfg: ExperimentConfig):
+    """Markers and cumulatives per (L, snr) from one report per L, at snr 1.
+
+    Each term t_d scales as snr^(2d), on the Monte-Carlo fallback too (every
+    snr draws the same signals), so a row's cumulative is sum_d t_d snr^(2d).
+    """
     rows, failures = [], []
     p = cfg.params
     budget = cfg.budgets["enumeration"]
+    if not all(0 <= float(snr) < math.inf for snr in p["snr_grid"]):
+        raise InvalidParameterError("snr values must be finite and nonnegative")
     for L in p["L_grid"]:
         lb = stat_threshold_lower_bound(L)
         ub = stat_threshold_upper_bound(L)
         D = max(1, int(p["n"] ** p["D_exponent"]))
+        try:
+            rep = ldlr_mod.ldlr_exact_multinomial(L, p["n"], 1.0, D, budget=budget)
+            method = "exact"
+        except ResourceLimitError:
+            # the count vectors C(n+L-1, L-1) outgrow the budget for large L;
+            # fall back to the Monte-Carlo overlap route
+            rep = ldlr_mod.ldlr_montecarlo_overlap(models_mod.Model("cyclic", L=L, snr=1.0),
+                                                   p["n"], D, 20000, seed=cfg.seed)
+            method = "mc"
         for snr in p["snr_grid"]:
-            row = {"L": L, "snr": snr, "n": p["n"], "D": D,
-                   "stat_lower": lb, "stat_upper": ub, "spectral": 1.0}
             try:
-                rep = ldlr_mod.ldlr_exact_multinomial(L, p["n"], snr, D,
-                                                      budget=budget)
-                row["ldlr_method"] = "exact"
-            except ResourceLimitError:
-                # the count vectors C(n+L-1, L-1) outgrow the budget for large L;
-                # fall back to the Monte-Carlo overlap route
-                model = models_mod.Model("cyclic", L=L, snr=snr)
-                rep = ldlr_mod.ldlr_montecarlo_overlap(model, p["n"], D,
-                                                       20000, seed=cfg.seed)
-                row["ldlr_method"] = "mc"
-            row["ldlr_cumulative"] = float(rep.cumulative)
-            if p["trials"]:
-                model = models_mod.Model("cyclic", L=L, snr=snr)
-                pw = power_curve(model, p["power_n"], [snr],
-                                            p["trials"], seed=cfg.seed)
-                row["power"] = pw[0]["power"]
-                row["type1"] = pw[0]["type1"]
-            else:
-                row["power"] = ""
-                row["type1"] = ""
-            rows.append(row)
+                cumulative = sum(t * float(snr) ** (2 * d) for d, t in enumerate(rep.terms))
+            except OverflowError:       # snr^(2d) past the float range
+                cumulative = math.inf
+            if not math.isfinite(cumulative):
+                raise NumericalOverflowError(f"cumulative at L={L}, snr={snr} overflowed")
+            pw = power_curve(models_mod.Model("cyclic", L=L, snr=snr), p["power_n"], [snr],
+                             p["trials"], seed=cfg.seed)[0] if p["trials"] else {}
+            rows.append({"L": L, "snr": snr, "n": p["n"], "D": D,
+                         "stat_lower": lb, "stat_upper": ub, "spectral": 1.0,
+                         "ldlr_method": method, "ldlr_cumulative": cumulative,
+                         "power": pw.get("power", ""), "type1": pw.get("type1", "")})
     return rows, failures
 
 

@@ -38,13 +38,14 @@ Routes:
     reports the standard error of each mean.
 
 :func:`moment_table` reads the moments E[s^d] back off the exact route's
-terms, and :func:`polylog_neg` sums the negative-order polylogarithm that
-bounds the cumulative below the spectral threshold.
+terms, and :func:`polylog_neg` evaluates, in closed form, the negative-order
+polylogarithm that bounds the cumulative below the spectral threshold.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,36 +125,31 @@ def first_moment_via_binomial(L: int, n: int, exact: bool = True):
     """E[s] for the ``pearson`` statistic, by enumerating binomial marginals.
 
     Sums (L/2) * E (n_g - n/L)^2 over g using the exact Binomial(n, 1/L)
-    law of each count; independent of the closed form n(L-1)/2.
+    law of each count; independent of the closed form n(L-1)/2.  The sum is
+    a rational; ``exact=False`` returns it correctly rounded to a float.
     """
     _check_route_args(L, n, 0, 0, min_L=1)
-    if exact:
-        # integer accumulation of sum_k C(n,k) (L-1)^(n-k) (kL - n)^2, then
-        # E[s] = L * (L/2) * E(n_g - n/L)^2 = num / (2 L^n)
-        num = 0
-        comb = 1
-        pw = (L - 1) ** n
-        for k in range(n + 1):
-            num += comb * pw * (k * L - n) ** 2
-            comb = comb * (n - k) // (k + 1)
-            if L > 1:
-                pw //= (L - 1)
-        return Fraction(num, 2 * L ** n)
-    from scipy.stats import binom
-    ks = np.arange(n + 1)
-    mom = math.fsum(binom.pmf(ks, n, 1.0 / L) * (ks - n / L) ** 2)
-    return 0.5 * L * L * mom
+    # integer accumulation of sum_k C(n,k) (L-1)^(n-k) (kL - n)^2, then
+    # E[s] = L * (L/2) * E(n_g - n/L)^2 = num / (2 L^n)
+    num = 0
+    comb = 1
+    pw = (L - 1) ** n
+    for k in range(n + 1):
+        num += comb * pw * (k * L - n) ** 2
+        comb = comb * (n - k) // (k + 1)
+        if L > 1:
+            pw //= (L - 1)
+    moment = Fraction(num, 2 * L ** n)
+    return moment if exact else float(moment)
 
 
 def moment_table(L: int, n: int, D: int, exact: bool = False,
-                 statistic: str = "pearson",
-                 budget: int = DEFAULT_BUDGET) -> tuple:
+                 statistic: str = "pearson") -> tuple:
     """Moments E[s^d], d = 0..D, of the count statistic under the multinomial law.
 
     Float moments beyond the float range raise :class:`NumericalOverflowError`.
     """
-    rep = ldlr_exact_multinomial(L, n, 1.0, D, exact=exact, statistic=statistic,
-                                 budget=budget)
+    rep = ldlr_exact_multinomial(L, n, 1.0, D, exact=exact, statistic=statistic)
     num = Fraction(n) if exact else float(n)
     try:
         moments = tuple(t * (num ** d * math.factorial(d)) for d, t in enumerate(rep.terms))
@@ -512,23 +508,32 @@ def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
 # Polylogarithm bound
 # ---------------------------------------------------------------------------
 
-def polylog_neg(order: int, z: float, rel_tol: float = 1e-16,
-                max_terms: int = 10 ** 7) -> float:
-    """sum_{k>=1} k^order z^k for 0 <= z < 1 and order >= 0 (so -order series).
+def polylog_neg(order: int, z: float) -> float:
+    """sum_{k>=1} k^order z^k for 0 <= z < 1 and integer order >= 0 (so -order series).
 
-    Terms grow before they decay; summation stops once a term falls below
-    ``rel_tol`` times the running sum on the decaying side.
+    The closed form z A_s(z) / (1 - z)^(s+1), with s = order and A_s the
+    Eulerian polynomial, whose integer coefficients follow from
+    A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1).  It is evaluated in
+    rationals at the float z and rounded once.  A sum past the float range
+    raises :class:`NumericalOverflowError`.
     """
+    if not isinstance(order, numbers.Integral) or order < 0:
+        raise InvalidParameterError("order must be an integer >= 0")
     if not 0 <= z < 1:
         raise DivergentSeriesError("series converges only for 0 <= z < 1")
     if z == 0:
         return 0.0
-    total = 0.0
-    prev = 0.0
-    for k in range(1, max_terms):
-        term = float(k) ** order * z ** k
-        total += term
-        if term < prev and term < rel_tol * total:
-            return total
-        prev = term
-    raise NumericalOverflowError("series did not settle within the term budget")
+    # the largest term, near k = order / -log z, bounds the sum from below;
+    # checking it first spares building order^2 / 2 coefficients in vain
+    top = max(1, round(order / -math.log(z)))
+    if order * math.log(top) + top * math.log(z) <= math.log(np.finfo(float).max):
+        coef = [1]      # A(m, 0..m-1) for m = 1..order; A_0 = 1 as well
+        for m in range(2, order + 1):
+            pad = [0] + coef + [0]      # pad[k + 1] = A(m-1, k), zero outside 0..m-2
+            coef = [(k + 1) * pad[k + 1] + (m - k) * pad[k] for k in range(m)]
+        x = Fraction(float(z))
+        try:
+            return float(x * sum(c * x ** k for k, c in enumerate(coef)) / (1 - x) ** (order + 1))
+        except OverflowError:
+            pass
+    raise NumericalOverflowError(f"the order -{order} polylog at {z} exceeds the float range")

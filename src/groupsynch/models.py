@@ -14,7 +14,8 @@ Three observation families share one container type:
     noise ensemble matches the irrep type (real -> GOE, complex -> GUE,
     quaternionic -> GSE) and d is the irrep's model dimension.
 
-A second observation family gives, for every ordered pair (k, j), a noisy
+Every sampler draws its signal as :func:`sample_signal` does from the same
+seed.  A second observation family gives, for every ordered pair (k, j), a noisy
 score table over group elements with a planted bump at the true relative
 element; :func:`indicator_to_canonical` changes basis with the regular
 representation and recovers the per-irrep observations above.
@@ -93,7 +94,7 @@ class IndicatorObservation:
     seed: int = None
 
 
-def sample_signal(prior, n: int, seed=None, rng=None) -> SignalVector:
+def sample_signal(prior, n: int, seed=None) -> SignalVector:
     """Draw an i.i.d. signal from ``prior``.
 
     ``prior`` is "circle", ("cyclic", L), or ("haar", group).  Circle values
@@ -101,7 +102,7 @@ def sample_signal(prior, n: int, seed=None, rng=None) -> SignalVector:
     """
     if n < 1:
         raise InvalidParameterError("signal length must be >= 1")
-    rng = rng if rng is not None else make_rng(seed, _SIGNAL_STREAM)
+    rng = make_rng(seed, _SIGNAL_STREAM)
     if prior == "circle":
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
         return SignalVector(np.exp(1j * phases), "circle", n)
@@ -172,14 +173,12 @@ def _channel(x: np.ndarray, lam: float, d: int, type_tag: str, rng,
 
 
 @_single_thread_blas()
-def sample_gsynch_circle(L: int, snr, n: int, seed=None, signal=None) -> SynchObservation:
+def sample_gsynch_circle(L: int, snr, n: int, seed=None) -> SynchObservation:
     """Circle-prior observation with ``L`` frequency channels, all complex."""
     if L < 1:
         raise InvalidParameterError("need at least one frequency")
     lam = _snr_list(snr, L)
-    if signal is None:
-        signal = sample_signal("circle", n, seed)
-    phases = np.angle(signal.values)
+    phases = np.angle(sample_signal("circle", n, seed).values)
     freqs = tuple(
         _channel(np.exp(1j * ell * phases).reshape(-1, 1), lam[ell - 1], 1, "complex",
                  make_rng(seed, _NOISE_STREAM, ell), f"freq-{ell}")
@@ -188,7 +187,7 @@ def sample_gsynch_circle(L: int, snr, n: int, seed=None, signal=None) -> SynchOb
 
 
 @_single_thread_blas()
-def sample_gsynch_cyclic(L: int, snr, n: int, seed=None, signal=None) -> SynchObservation:
+def sample_gsynch_cyclic(L: int, snr, n: int, seed=None) -> SynchObservation:
     """Cyclic-prior observation over frequencies 1..floor(L/2).
 
     The list of frequencies is nonredundant: the trivial channel is dropped
@@ -199,9 +198,7 @@ def sample_gsynch_cyclic(L: int, snr, n: int, seed=None, signal=None) -> SynchOb
         raise InvalidParameterError("cyclic prior needs L >= 2")
     nfreq = L // 2
     lam = _snr_list(snr, nfreq)
-    if signal is None:
-        signal = sample_signal(("cyclic", L), n, seed)
-    u = signal.values
+    u = sample_signal(("cyclic", L), n, seed).values
     roots = np.exp(2j * np.pi * np.arange(L) / L)
     freqs = tuple(
         _channel(roots[(ell * u) % L].reshape(-1, 1), lam[ell - 1], 1,
@@ -219,16 +216,12 @@ def _irrep_stack(irrep: Irrep, u: np.ndarray) -> np.ndarray:
 
 @_single_thread_blas()
 def sample_gsynch_group(group: FiniteGroup, irreps: IrrepList, snr, n: int,
-                        seed=None, signal=None) -> SynchObservation:
+                        seed=None) -> SynchObservation:
     """Observation per irrep in a nonredundant list, noise matched to type."""
     if irreps.mode != "nonredundant":
         raise InvalidParameterError("sampler expects a nonredundant irrep list")
     lam = _snr_list(snr, len(irreps))
-    if signal is None:
-        signal = sample_signal(("haar", group), n, seed)
-    u = signal.values
-    if u.max(initial=0) >= group.order:
-        raise InvalidParameterError("signal indices out of range for the group")
+    u = sample_signal(("haar", group), n, seed).values
     if any(irrep.matrices.shape[0] != group.order for irrep in irreps):
         raise InvalidParameterError("irrep size does not match group order")
     # channel streams are 1-based so that the cyclic-prior sampler and
@@ -303,24 +296,27 @@ def cyclic_group_model(L: int, snr: float) -> Model:
 # Noisy-indicator observations and their change of basis
 # ---------------------------------------------------------------------------
 
-def sample_indicator(group: FiniteGroup, n: int, gamma: float, seed=None,
-                     signal=None) -> IndicatorObservation:
+def _plant(z: np.ndarray, group: FiniteGroup, u: np.ndarray, gamma: float) -> None:
+    """Add gamma to z[k, j, u_k u_j^{-1}] for every pair (k, j), in place."""
+    n = len(u)
+    z[np.arange(n)[:, None], np.arange(n), group.mul[np.ix_(u, group.inverse[u])]] += gamma
+
+
+def sample_indicator(group: FiniteGroup, n: int, gamma: float,
+                     seed=None) -> IndicatorObservation:
     """Score tables z[k, j, g] = gamma * [g == u_k u_j^{-1}] + complex noise.
 
     Noise entries are independent standard complex Gaussians (real and
-    imaginary parts each N(0, 1/2)) for every (k, j, g).
+    imaginary parts each N(0, 1/2)) for every (k, j, g); gamma must be
+    finite and nonnegative.
     """
-    if gamma < 0:
-        raise InvalidParameterError("gamma must be nonnegative")
-    if signal is None:
-        signal = sample_signal(("haar", group), n, seed)
-    u = signal.values
+    if not 0 <= gamma < np.inf:     # NaN fails too
+        raise InvalidParameterError("gamma must be finite and nonnegative")
+    u = sample_signal(("haar", group), n, seed).values
     L = group.order
     rng = make_rng(seed, _NOISE_STREAM)
     z = (rng.standard_normal((n, n, L)) + 1j * rng.standard_normal((n, n, L))) / np.sqrt(2.0)
-    rel = group.mul[np.ix_(u, group.inverse[u])]
-    k_idx, j_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    z[k_idx, j_idx, rel] += gamma
+    _plant(z, group, u, gamma)
     return IndicatorObservation(z, float(gamma), u, n, seed)
 
 

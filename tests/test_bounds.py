@@ -58,6 +58,8 @@ def test_clt_parameter_validation():
         check_clt_moment_bound(("bernoulli", 1.5), 100, 2)
     with pytest.raises(InvalidParameterError):
         check_clt_moment_bound("rademacher", 10, float("nan"))
+    with pytest.raises(InvalidParameterError):      # not a NaN check with holds=False
+        check_clt_moment_bound("rademacher", 10.5, 1)
 
 
 @pytest.mark.parametrize("n,alpha,gamma", [(-1, (1, 1), 0),

@@ -194,6 +194,8 @@ def test_detector_config_validation():
         DetectorConfig(alpha=0.0)
     with pytest.raises(InvalidParameterError):
         DetectorConfig(calibration_trials=10)
+    with pytest.raises(InvalidParameterError):
+        DetectorConfig(calibration_trials=50.5)
 
 
 @pytest.mark.parametrize("eigen_tol", [np.nan, -1.0, np.inf])

@@ -172,6 +172,8 @@ def test_invalid_kind():
         EnsembleKind("GXE", 5)
     with pytest.raises(InvalidParameterError):
         EnsembleKind("GOE", 0)
+    with pytest.raises(InvalidParameterError):
+        EnsembleKind("GOE", 2.5)
 
 
 def test_noise_matrix_metadata():

@@ -3,11 +3,14 @@ import math
 
 import pytest
 
+from groupsynch import experiments
 from groupsynch.eigen import _blas_threads
-from groupsynch.errors import ConfigError
+from groupsynch.errors import ConfigError, InvalidParameterError, NumericalOverflowError
 from groupsynch.experiments import (ExperimentConfig, run,
                                     stat_threshold_lower_bound,
                                     stat_threshold_upper_bound, write_csv)
+from groupsynch.ldlr import ldlr_exact_multinomial, ldlr_montecarlo_overlap
+from groupsynch.models import Model
 
 
 def test_config_requires_kind_and_seed():
@@ -133,6 +136,39 @@ def test_phase_diagram_markers(tmp_path):
     header = (tmp_path / "phase.csv").read_bytes().decode().split("\r\n")[0]
     for col in ("stat_lower", "stat_upper", "ldlr_cumulative", "L", "snr"):
         assert col in header.split(",")
+
+
+def test_phase_diagram_scales_one_report_per_order():
+    # the default grid, L = 3..13 at n = 16: L = 13 takes the Monte-Carlo
+    # fallback; each row must match a direct route call at its own snr
+    result = run(ExperimentConfig.from_dict({"kind": "phase-diagram", "seed": 1}))
+    assert [r["ldlr_method"] for r in result.rows] == ["exact"] * 20 + ["mc"] * 4
+    for row in result.rows:
+        L, snr, n, D = row["L"], row["snr"], row["n"], row["D"]
+        if row["ldlr_method"] == "exact":
+            rep = ldlr_exact_multinomial(L, n, snr, D)
+        else:
+            rep = ldlr_montecarlo_overlap(Model("cyclic", L=L, snr=snr), n, D, 20000, seed=1)
+        assert row["ldlr_cumulative"] == pytest.approx(float(rep.cumulative), rel=1e-14)
+
+
+@pytest.mark.parametrize("snr", [-1.0, math.nan])
+def test_phase_diagram_rejects_bad_snr_before_any_evaluation(snr, monkeypatch):
+    def no_route(*args, **kwargs):
+        raise AssertionError("an LDLR route ran before the snr grid was checked")
+    monkeypatch.setattr(experiments.ldlr_mod, "ldlr_exact_multinomial", no_route)
+    monkeypatch.setattr(experiments.ldlr_mod, "ldlr_montecarlo_overlap", no_route)
+    cfg = ExperimentConfig.from_dict({"kind": "phase-diagram", "seed": 1,
+                                      "params": {"L_grid": [3, 13], "snr_grid": [0.5, snr]}})
+    with pytest.raises(InvalidParameterError):
+        run(cfg)
+
+
+def test_phase_diagram_overflow_is_typed():
+    cfg = ExperimentConfig.from_dict({"kind": "phase-diagram", "seed": 1,
+                                      "params": {"L_grid": [3], "snr_grid": [0.5, 1e200]}})
+    with pytest.raises(NumericalOverflowError):
+        run(cfg)
 
 
 def test_marker_formulas():

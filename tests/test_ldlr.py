@@ -91,8 +91,8 @@ def test_first_moment_closed_form():
     for L in range(2, 9):
         for n in (10, 100, 1000):
             assert first_moment_via_binomial(L, n) == Fraction(n * (L - 1), 2)
-            approx = first_moment_via_binomial(L, n, exact=False)
-            assert approx == pytest.approx(n * (L - 1) / 2, abs=1e-9 * n)
+            # the float is the rational sum rounded once, so exact here
+            assert first_moment_via_binomial(L, n, exact=False) == n * (L - 1) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +568,30 @@ def test_polylog_closed_form_order_two():
     assert polylog_neg(2, z) == pytest.approx(6.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("order,z", [(2, 0.25), (4, 0.5), (6, 0.81), (8, 0.9)])
+@pytest.mark.parametrize("order,z", list(itertools.product(
+    range(31), [1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.81, 0.9, 0.99, 0.999])))
 def test_polylog_against_mpmath(order, z):
-    want = float(mpmath.polylog(-order, z))
-    assert polylog_neg(order, z) == pytest.approx(want, rel=1e-10)
+    with mpmath.workdps(40):
+        want = float(mpmath.polylog(-order, mpmath.mpf(z)))
+    assert polylog_neg(order, z) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("order", [2.5, -1])
+def test_polylog_rejects_bad_order(order):
+    with pytest.raises(InvalidParameterError):
+        polylog_neg(order, 0.5)
+
+
+def test_polylog_overflow_is_typed():
+    # order 100 passes the float range between z = 0.968 and 0.969, where
+    # every term is still finite; the larger orders fail on their largest
+    # term, before any coefficient is built
+    with mpmath.workdps(40):
+        assert polylog_neg(100, 0.968) == pytest.approx(
+            float(mpmath.polylog(-100, mpmath.mpf(0.968))), rel=1e-13)
+    for order, z in [(100, 0.969), (200, 0.5), (10 ** 6, 0.5)]:
+        with pytest.raises(NumericalOverflowError):
+            polylog_neg(order, z)
 
 
 def test_bound_polylog_zero_and_divergence():

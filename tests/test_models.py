@@ -310,6 +310,27 @@ def test_snr_must_be_finite(snr):
 # Noisy indicator observations
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.5])
+def test_indicator_rejects_bad_gamma(gamma):
+    group, _ = build_cyclic(3)
+    with pytest.raises(InvalidParameterError):
+        sample_indicator(group, 4, gamma, seed=1)
+
+
+@pytest.mark.parametrize("name", ["dihedral(3)", "quaternion8"])
+def test_indicator_plants_the_meshgrid_bump(name):
+    group, _ = build_catalog(name)
+    n, gamma, seed = 9, 1.7, 4
+    u = sample_signal(("haar", group), n, seed=seed).values
+    want = sample_indicator(group, n, 0.0, seed=seed).scores
+    rel = group.mul[np.ix_(u, group.inverse[u])]
+    k_idx, j_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    want[k_idx, j_idx, rel] += gamma
+    obs = sample_indicator(group, n, gamma, seed=seed)
+    assert np.array_equal(obs.signal, u)
+    assert np.array_equal(obs.scores, want)
+
+
 def test_indicator_null_moments():
     group, _ = build_cyclic(3)
     obs = sample_indicator(group, 6, 0.0, seed=12)
