@@ -3,8 +3,9 @@
 Subcommands: simulate, sample-ensemble, ldlr, detect, power, md-count,
 bounds, suite, phase-diagram.  ``detect`` calibrates on the null model named
 in the observation file, which ``simulate`` writes for every model it
-samples.  Exit codes: 0 success, 1 a suite assertion failed, 2 configuration
-error.  The environment variable
+samples.  Every output file is written to a temporary file and renamed
+into place.  Exit codes: 0 success, 1 a suite assertion failed, 2
+configuration error.  The environment variable
 ``GROUPSYNCH_BUDGET``, a positive integer, overrides the default enumeration
 budget.
 """
@@ -25,7 +26,8 @@ from .detect import (DetectorConfig, calibrate_threshold, detect as run_detect,
 from . import models as models_mod
 from .ensembles import EnsembleKind, sample
 from .errors import ConfigError, GroupsynchError, InvalidParameterError
-from .experiments import ExperimentConfig, _model_from_name, run, write_csv
+from .experiments import (KINDS, ExperimentConfig, _atomic_write, _ldlr_report,
+                          _model_from_name, run, write_csv)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -75,8 +77,7 @@ def _write_json(path, payload) -> None:
     if path in (None, "-"):
         print(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _atomic_write(path, lambda fh: fh.write(text + "\n"))
 
 
 def _cmd_simulate(args) -> int:
@@ -103,29 +104,10 @@ def _cmd_sample_ensemble(args) -> int:
 
 
 def _cmd_ldlr(args) -> int:
-    budget = _budget()
-    if args.prior == "circle" and args.method in ("exact", "brute"):
-        raise ConfigError("prior", "count-based routes cover the cyclic prior; "
-                                   "use --method md or mc for the circle prior")
-    if args.method == "exact":
-        rep = ldlr_mod.ldlr_exact_multinomial(args.L, args.n, args.snr, args.D,
-                                              exact=args.rational,
-                                              statistic=args.statistic,
-                                              budget=budget)
-    elif args.method == "brute":
-        rep = ldlr_mod.ldlr_bruteforce_signals(args.L, args.n, args.snr, args.D,
-                                               exact=args.rational,
-                                               statistic=args.statistic,
-                                               budget=budget)
-    elif args.method == "md":
-        rep = ldlr_mod.ldlr_from_md(args.prior, args.L, args.n, args.snr, args.D,
-                                    exact=args.rational,
-                                    budget=_budget(ldlr_mod.MD_BUDGET))
-    else:
-        model = models_mod.Model(args.prior if args.prior != "circle" else "circle",
-                                 L=args.L, snr=args.snr)
-        rep = ldlr_mod.ldlr_montecarlo_overlap(model, args.n, args.D,
-                                               args.samples, seed=args.seed)
+    rep = _ldlr_report(args.method, args.prior, args.L, args.n, args.snr, args.D,
+                       exact=args.rational, statistic=args.statistic,
+                       samples=args.samples, seed=args.seed, budget=_budget(),
+                       md_budget=_budget(ldlr_mod.MD_BUDGET))
     payload = {
         "params": rep.params, "method": rep.method,
         "terms": [float(t) for t in rep.terms],
@@ -360,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a configured experiment suite")
     p.add_argument("--config", default=None, help="JSON config path")
-    p.add_argument("--kind", choices=("oracle-suite", "bound-suite",
-                                      "equivalence-suite", "ldlr-sweep",
-                                      "power-sweep"), default="oracle-suite")
+    p.add_argument("--kind", choices=KINDS, default="oracle-suite")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--manifest", default=None)

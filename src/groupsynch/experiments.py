@@ -3,9 +3,11 @@
 A run is fully determined by (config, seed): exact-arithmetic suites
 reproduce byte-identical CSV output on rerun, Monte-Carlo suites reproduce
 exactly as well because every trial seed derives from the config seed.
-Rows are flat dicts; every row carries the config hash and the seed.  The
+Rows are flat dicts; every row carries the config hash and the seed.  A
+check row's verdict is its ``pass`` column, and :func:`run` reads the
+failures off those rows: one message per row whose ``pass`` is false.  The
 manifest records library versions, the bundled OpenBLAS libraries with
-their thread counts, wall time, and the pass/fail summary.
+their thread counts, wall time, and the failures.
 """
 from __future__ import annotations
 
@@ -41,10 +43,9 @@ __all__ = [
     "write_csv",
 ]
 
-KINDS = ("ldlr-sweep", "power-sweep", "oracle-suite", "bound-suite",
-         "equivalence-suite", "phase-diagram")
 _BUDGETS = ("enumeration", "md")      # count vectors; md_count tuples
 _METHODS = ("exact", "md", "mc")      # the ldlr-sweep routes
+_PRIORS = ("circle", "cyclic")
 
 _DEFAULT_PARAMS = {
     "ldlr-sweep": {
@@ -100,6 +101,7 @@ _DEFAULT_PARAMS = {
         "power_n": 300,
     },
 }
+KINDS = tuple(_DEFAULT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,13 @@ class ExperimentConfig:
             if isinstance(_DEFAULT_PARAMS[self.kind][key], list) and (
                     not isinstance(value, (list, tuple)) or len(value) == 0):
                 raise ConfigError(f"params.{key}", "grid must be a nonempty list")
+        if "prior" in self.params and self.params["prior"] not in _PRIORS:
+            raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
             if method not in _METHODS:
                 raise ConfigError("params.methods",
                                   f"unknown method {method!r}; expected one of {_METHODS}")
+            _check_route(method, self.params["prior"], "params.methods")
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": self.params,
@@ -188,18 +193,34 @@ def _fmt(value):
     return value
 
 
+def _atomic_write(path, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then move it into place.
+
+    Readers see the old file or the whole new one; a failed write leaves no
+    temporary file behind.
+    """
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(path, rows, columns=None) -> None:
     """Atomic RFC-4180 CSV write with a deterministic column order."""
     if columns is None:
         columns = sorted({k for row in rows for k in row})
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+
+    def write(fh):
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore",
                                 lineterminator="\r\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items() if k in columns})
-    os.replace(tmp, path)
+    _atomic_write(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -230,45 +251,55 @@ def stat_threshold_upper_bound(L: int) -> float:
 # Suite runners
 # ---------------------------------------------------------------------------
 
+def _check_route(method: str, prior: str, field: str) -> None:
+    """The count-vector routes, exact and brute, cover the cyclic prior only."""
+    if method in ("exact", "brute") and prior != "cyclic":
+        raise ConfigError(field, f"the {method} route covers the cyclic prior only; "
+                                 f"use md or mc for the {prior} prior")
+
+
+def _ldlr_report(method, prior, L, n, snr, D, *, exact, statistic, samples, seed,
+                 budget, md_budget) -> ldlr_mod.LdlrReport:
+    """The LDLR route for one method: exact, brute, md or mc (Monte-Carlo)."""
+    _check_route(method, prior, "prior")
+    if method == "exact":
+        return ldlr_mod.ldlr_exact_multinomial(L, n, snr, D, exact=exact,
+                                               statistic=statistic, budget=budget)
+    if method == "brute":
+        return ldlr_mod.ldlr_bruteforce_signals(L, n, snr, D, exact=exact,
+                                                statistic=statistic, budget=budget)
+    if method == "md":
+        return ldlr_mod.ldlr_from_md(prior, L, n, snr, D, exact=exact, budget=md_budget)
+    return ldlr_mod.ldlr_montecarlo_overlap(models_mod.Model(prior, L=L, snr=snr),
+                                            n, D, samples, seed=seed)
+
+
 def _run_ldlr_sweep(cfg: ExperimentConfig):
-    rows, failures = [], []
+    rows = []
     p = cfg.params
-    budget = cfg.budgets["enumeration"]
     for L in p["L_grid"]:
         for n in p["n_grid"]:
             for snr in p["snr_grid"]:
                 for method in p["methods"]:
-                    base = {"prior": p["prior"], "L": L, "n": n, "snr": snr,
-                            "D": p["D"], "method": method}
-                    if method == "exact":
-                        rep = ldlr_mod.ldlr_exact_multinomial(
-                            L, n, snr, p["D"], budget=budget)
-                        base["stderr"] = ""
-                    elif method == "md":
-                        rep = ldlr_mod.ldlr_from_md(
-                            p["prior"], L, n, snr, p["D"],
-                            budget=cfg.budgets.get("md", ldlr_mod.MD_BUDGET))
-                        base["stderr"] = ""
-                    else:
-                        model = models_mod.Model(p["prior"], L=L, snr=snr)
-                        rep = ldlr_mod.ldlr_montecarlo_overlap(
-                            model, n, p["D"], p["mc_samples"], seed=cfg.seed)
-                        base["stderr"] = rep.stderr[-1]
-                    base["cumulative"] = float(rep.cumulative)
-                    for d, t in enumerate(rep.terms):
-                        base[f"t{d}"] = float(t)
-                    rows.append(base)
-    return rows, failures
+                    rep = _ldlr_report(method, p["prior"], L, n, snr, p["D"],
+                                       exact=False, statistic="pearson",
+                                       samples=p["mc_samples"], seed=cfg.seed,
+                                       budget=cfg.budgets["enumeration"],
+                                       md_budget=cfg.budgets.get("md", ldlr_mod.MD_BUDGET))
+                    row = {"prior": p["prior"], "L": L, "n": n, "snr": snr,
+                           "D": p["D"], "method": method,
+                           "stderr": "" if rep.stderr is None else rep.stderr[-1],
+                           "cumulative": float(rep.cumulative)}
+                    row.update((f"t{d}", float(t)) for d, t in enumerate(rep.terms))
+                    rows.append(row)
+    return rows
 
 
 def _run_power_sweep(cfg: ExperimentConfig):
     p = cfg.params
     model = _model_from_name(p["model"], p["L"], 0.0)
-    config = DetectorConfig(alpha=p["alpha"],
-                                       calibration_trials=p["calibration_trials"])
-    rows = power_curve(model, p["n"], p["snr_grid"], p["trials"],
-                                  config, seed=cfg.seed)
-    return rows, []
+    config = DetectorConfig(alpha=p["alpha"], calibration_trials=p["calibration_trials"])
+    return power_curve(model, p["n"], p["snr_grid"], p["trials"], config, seed=cfg.seed)
 
 
 def _model_from_name(name: str, L: int, snr: float) -> models_mod.Model:
@@ -282,7 +313,7 @@ def _model_from_name(name: str, L: int, snr: float) -> models_mod.Model:
 
 
 def _run_oracle_suite(cfg: ExperimentConfig):
-    rows, failures = [], []
+    rows = []
     p = cfg.params
     snr, D = p["snr"], p["D"]
     budget = cfg.budgets["enumeration"]
@@ -291,11 +322,8 @@ def _run_oracle_suite(cfg: ExperimentConfig):
         a = ldlr_mod.ldlr_exact_multinomial(L, n, snr, D, exact=True, budget=budget)
         b = ldlr_mod.ldlr_bruteforce_signals(L, n, snr, D, exact=True, budget=budget)
         diff = max(abs(x - y) for x, y in zip(a.terms, b.terms))
-        ok = diff == 0
         rows.append({"check": "exact-vs-bruteforce", "L": L, "n": n, "snr": snr,
-                     "D": D, "diff": float(diff), "pass": ok})
-        if not ok:
-            failures.append(f"exact-vs-bruteforce L={L} n={n} diff={diff}")
+                     "D": D, "diff": float(diff), "pass": diff == 0})
 
     for L, n in p["md_instances"]:
         md_budget = cfg.budgets.get("md", ldlr_mod.MD_BUDGET)
@@ -310,37 +338,27 @@ def _run_oracle_suite(cfg: ExperimentConfig):
         cyclic = [ldlr_mod.md_count("cyclic", L, n, d, md_budget)
                   for d in range(D + 1)]
         contain = all(c <= z for c, z in zip(circle, cyclic))
-        ok = diff == 0 and contain
         rows.append({"check": "md-vs-multinomial", "L": L, "n": n, "snr": snr,
-                     "D": D, "diff": float(diff), "pass": ok})
-        if not ok:
-            failures.append(f"md-vs-multinomial L={L} n={n} diff={diff} "
-                            f"containment={contain}")
+                     "D": D, "diff": float(diff), "pass": diff == 0 and contain})
 
     model = models_mod.Model("cyclic", L=3, snr=snr)
     exact = ldlr_mod.ldlr_exact_multinomial(3, 12, snr, D, budget=budget)
     mc = ldlr_mod.ldlr_montecarlo_overlap(model, 12, D, p["mc_samples"], seed=cfg.seed)
     gap = abs(mc.cumulative - float(exact.cumulative))
-    ok = gap <= 3 * mc.stderr[-1]
     rows.append({"check": "mc-vs-exact", "L": 3, "n": 12, "snr": snr, "D": D,
-                 "diff": gap, "pass": ok})
-    if not ok:
-        failures.append(f"mc-vs-exact gap={gap} > 3*{mc.stderr[-1]}")
+                 "diff": gap, "pass": gap <= 3 * mc.stderr[-1]})
 
     for L in range(2, 9):
         for n in (10, 100):
             got = ldlr_mod.first_moment_via_binomial(L, n, exact=True)
             want = Fraction(n * (L - 1), 2)
-            ok = got == want
             rows.append({"check": "first-moment", "L": L, "n": n, "snr": "",
-                         "D": 1, "diff": float(abs(got - want)), "pass": ok})
-            if not ok:
-                failures.append(f"first-moment L={L} n={n}: {got} != {want}")
-    return rows, failures
+                         "D": 1, "diff": float(abs(got - want)), "pass": got == want})
+    return rows
 
 
 def _run_bound_suite(cfg: ExperimentConfig):
-    rows, failures = [], []
+    rows = []
     p = cfg.params
 
     distros = ["rademacher"] + [("bernoulli", q) for q in p["clt_bernoulli_p"]]
@@ -351,21 +369,14 @@ def _run_bound_suite(cfg: ExperimentConfig):
                 rows.append({"check": "clt-moment", "case": str(dist), "n": n,
                              "param": a, "lhs": res.lhs, "rhs": res.rhs,
                              "pass": res.holds})
-                if not res.holds:
-                    failures.append(f"clt-moment {dist} n={n} alpha={a}: "
-                                    f"{res.lhs} > {res.rhs}")
 
     for L in p["trec_L"]:
         for n in p["trec_n"]:
             for k in range(1, L):
-                for alpha in _alpha_vectors(k, p["trec_alpha_sum"]):
+                alphas = bounds_mod._partial_tuples(p["trec_alpha_sum"], k).tolist()
+                for alpha in map(tuple, alphas):
                     for gam in p["trec_gamma"]:
                         res = bounds_mod.check_t_recursion(L, n, k, alpha, gam)
-                        if not res.holds:
-                            failures.append(
-                                f"t-recursion L={L} n={n} k={k} alpha={alpha} "
-                                f"gamma={gam}: witness {res.detail['worst_tuple']} "
-                                f"lhs={res.lhs} rhs={res.rhs}")
                         rows.append({"check": "t-recursion", "case": f"L={L},k={k}",
                                      "n": n, "param": f"{alpha}|g={gam}",
                                      "lhs": res.lhs, "rhs": res.rhs,
@@ -375,22 +386,11 @@ def _run_bound_suite(cfg: ExperimentConfig):
         rows.append({"check": "l3-moment", "case": "L=3", "n": p["l3_n"],
                      "param": res.detail["d"], "lhs": res.lhs, "rhs": res.rhs,
                      "pass": res.holds})
-        if not res.holds:
-            failures.append(f"l3-moment d={res.detail['d']}: {res.lhs} > {res.rhs}")
-    return rows, failures
-
-
-def _alpha_vectors(k: int, total: int):
-    if k == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for tail in _alpha_vectors(k - 1, total - head):
-            yield (head,) + tail
+    return rows
 
 
 def _run_equivalence_suite(cfg: ExperimentConfig):
-    rows, failures = [], []
+    rows = []
     p = cfg.params
     n, snr = p["n"], p["snr"]
 
@@ -410,11 +410,8 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
         for freq, irrep in zip(canon.freqs, nontrivial):
             x = models_mod._irrep_stack(irrep, u)
             err = max(err, float(np.abs(freq.matrix - (snr / n) * (x @ x.conj().T)).max()))
-        ok = err <= 1e-10
         rows.append({"check": "indicator-signal", "case": name, "n": n,
-                     "value": err, "tol": 1e-10, "pass": ok})
-        if not ok:
-            failures.append(f"indicator-signal {name}: err={err}")
+                     "value": err, "tol": 1e-10, "pass": err <= 1e-10})
 
         vn = p["variance_n"]
         iu = np.triu_indices(vn, 1)
@@ -432,13 +429,9 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
             mean_sq = float(np.mean(np.concatenate(chunks)))
             target = 1.0 / (vn * d)
             relerr = abs(mean_sq - target) / target
-            ok = relerr <= p["variance_tol"]
             rows.append({"check": "indicator-variance",
-                         "case": f"{name}:{freq.label}", "n": vn,
-                         "value": relerr, "tol": p["variance_tol"], "pass": ok})
-            if not ok:
-                failures.append(f"indicator-variance {name} {freq.label}: "
-                                f"rel err {relerr} over {draws * len(iu[0])} pairs")
+                         "case": f"{name}:{freq.label}", "n": vn, "value": relerr,
+                         "tol": p["variance_tol"], "pass": relerr <= p["variance_tol"]})
 
     for L in (3, 4):
         via_cyclic = models_mod.sample_gsynch_cyclic(L, snr, n, seed=cfg.seed)
@@ -450,12 +443,9 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
             float(np.abs((a.matrix - na.matrix) - (b.matrix - nb.matrix)).max())
             for a, b, na, nb in zip(via_cyclic.freqs, via_group.freqs,
                                     null_c.freqs, null_g.freqs))
-        ok = diff == 0.0
         rows.append({"check": "coupled-signal", "case": f"cyclic({L})", "n": n,
-                     "value": diff, "tol": 0.0, "pass": ok})
-        if not ok:
-            failures.append(f"coupled-signal L={L}: diff={diff}")
-    return rows, failures
+                     "value": diff, "tol": 0.0, "pass": diff == 0.0})
+    return rows
 
 
 def _run_phase_diagram(cfg: ExperimentConfig):
@@ -464,7 +454,7 @@ def _run_phase_diagram(cfg: ExperimentConfig):
     Each term t_d scales as snr^(2d), on the Monte-Carlo fallback too (every
     snr draws the same signals), so a row's cumulative is sum_d t_d snr^(2d).
     """
-    rows, failures = [], []
+    rows = []
     p = cfg.params
     budget = cfg.budgets["enumeration"]
     if not all(0 <= float(snr) < math.inf for snr in p["snr_grid"]):
@@ -495,7 +485,7 @@ def _run_phase_diagram(cfg: ExperimentConfig):
                          "stat_lower": lb, "stat_upper": ub, "spectral": 1.0,
                          "ldlr_method": method, "ldlr_cumulative": cumulative,
                          "power": pw.get("power", ""), "type1": pw.get("type1", "")})
-    return rows, failures
+    return rows
 
 
 _RUNNERS = {
@@ -512,7 +502,9 @@ def run(config: ExperimentConfig) -> RunResult:
     """Execute a configured suite; write CSV rows and a JSON manifest."""
     config.validate()
     start = time.time()
-    rows, failures = _RUNNERS[config.kind](config)
+    rows = _RUNNERS[config.kind](config)
+    failures = [" ".join(f"{k}={v}" for k, v in row.items() if k != "pass")
+                for row in rows if "pass" in row and not row["pass"]]
     chash = config.hash()
     for row in rows:
         row["config_hash"] = chash
@@ -536,20 +528,14 @@ def run(config: ExperimentConfig) -> RunResult:
     if config.out_csv:
         write_csv(config.out_csv, rows)
     if config.out_manifest:
-        tmp = f"{config.out_manifest}.tmp-{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        os.replace(tmp, config.out_manifest)
+        _atomic_write(config.out_manifest,
+                      lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True))
     return RunResult(rows, manifest, failures)
 
 
-def phase_diagram(L_grid, snr_grid, n, D_exponent=0.3, trials=0, seed=0,
-                  out_csv=None):
+def phase_diagram(L_grid, snr_grid, n, seed=0):
     """Convenience wrapper around the phase-diagram suite."""
-    cfg = ExperimentConfig.from_dict({
+    return run(ExperimentConfig.from_dict({
         "kind": "phase-diagram", "seed": seed,
-        "params": {"L_grid": list(L_grid), "snr_grid": list(snr_grid), "n": n,
-                   "D_exponent": D_exponent, "trials": trials},
-        "out": {"csv": out_csv} if out_csv else {},
-    })
-    return run(cfg)
+        "params": {"L_grid": list(L_grid), "snr_grid": list(snr_grid), "n": n},
+    }))

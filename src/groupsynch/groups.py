@@ -457,8 +457,8 @@ def group_to_dict(group: FiniteGroup, irreps: IrrepList = None) -> dict:
     return out
 
 
-def group_from_dict(data: dict, validate: bool = True):
-    """Inverse of :func:`group_to_dict`; validates invariants unless told not to."""
+def group_from_dict(data: dict):
+    """Inverse of :func:`group_to_dict`; validates the irreps it reads."""
     L = int(data["order"])
     mul = np.asarray(data["mul"], dtype=np.int64).reshape(L, L)
     labels = tuple(data["labels"]) if "labels" in data else None
@@ -471,6 +471,5 @@ def group_from_dict(data: dict, validate: bool = True):
             mats = np.array([[complex(re, im) for re, im in m] for m in spec["matrices"]])
             entries.append(Irrep(mats.reshape(L, d, d), spec["type"]))
         irreps = IrrepList(tuple(entries), mode=data.get("irreps_mode", "full"))
-        if validate:
-            irreps.validate(group)
+        irreps.validate(group)
     return group, irreps

@@ -243,7 +243,8 @@ class Model:
 
     ``kind`` is "circle", "cyclic" or "group".  ``L`` is the number of
     frequencies (circle) or the prior order (cyclic); group models carry the
-    group and a nonredundant irrep list.
+    group and a nonredundant irrep list.  ``snr`` is one finite,
+    nonnegative signal strength shared by every channel.
     """
 
     kind: str
@@ -259,6 +260,8 @@ class Model:
             raise InvalidParameterError("model needs L >= 1")
         if self.kind == "cyclic" and self.L < 2:
             raise InvalidParameterError("cyclic model needs L >= 2")
+        if not 0 <= self.snr < np.inf:
+            raise InvalidParameterError("snr must be finite and nonnegative")
         if self.kind == "group":
             if self.group is None:
                 raise InvalidParameterError("group model needs a group")

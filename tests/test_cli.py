@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from groupsynch.cli import main
-from groupsynch.ldlr import ldlr_exact_multinomial
+from groupsynch.ldlr import (ldlr_bruteforce_signals, ldlr_exact_multinomial,
+                             ldlr_from_md, ldlr_montecarlo_overlap)
+from groupsynch.models import Model
 
 
 def test_help_listing(capsys):
@@ -77,13 +79,22 @@ def test_simulate_group_model(tmp_path):
 def test_ldlr_cli_matches_library(tmp_path):
     out = tmp_path / "ldlr.json"
     csv_out = tmp_path / "terms.csv"
-    assert main(["ldlr", "--method", "exact", "--L", "3", "--n", "8",
-                 "--lambda", "0.7", "--D", "3", "--out", str(out),
-                 "--csv", str(csv_out)]) == 0
-    data = json.loads(out.read_text())
-    rep = ldlr_exact_multinomial(3, 8, 0.7, 3)
-    assert data["cumulative"] == pytest.approx(float(rep.cumulative), rel=1e-12)
-    assert csv_out.read_text().splitlines()[0] == "d,term"
+    routes = {
+        "exact": ldlr_exact_multinomial(3, 8, 0.7, 3),
+        "brute": ldlr_bruteforce_signals(3, 8, 0.7, 3, exact=False),
+        "md": ldlr_from_md("cyclic", 3, 8, 0.7, 3),
+        "mc": ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=0.7), 8, 3, 3000, seed=5),
+    }
+    for method, rep in routes.items():
+        assert main(["ldlr", "--method", method, "--L", "3", "--n", "8",
+                     "--lambda", "0.7", "--D", "3", "--samples", "3000", "--seed", "5",
+                     "--out", str(out), "--csv", str(csv_out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["method"] == rep.method
+        assert data["terms"] == [float(t) for t in rep.terms]
+        assert data["cumulative"] == float(rep.cumulative)
+        assert data.get("stderr") == (None if rep.stderr is None else list(rep.stderr))
+        assert csv_out.read_text().splitlines()[0] == "d,term"
 
 
 def test_md_count_cli(tmp_path, capsys):
@@ -140,6 +151,14 @@ def test_phase_diagram_cli(tmp_path):
     header = lines[0].split(",")
     row11 = dict(zip(header, lines[2].split(",")))
     assert float(row11["stat_upper"]) < 1.0
+
+
+def test_suite_kind_phase_diagram_matches_its_command(tmp_path):
+    via_suite, via_command = tmp_path / "suite.csv", tmp_path / "command.csv"
+    assert main(["suite", "--kind", "phase-diagram", "--seed", "1",
+                 "--csv", str(via_suite)]) == 0
+    assert main(["phase-diagram", "--seed", "1", "--out", str(via_command)]) == 0
+    assert via_suite.read_bytes() == via_command.read_bytes()
 
 
 def test_budget_env_override(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from groupsynch import experiments
+from groupsynch.bounds import BoundCheck
 from groupsynch.eigen import _blas_threads
 from groupsynch.errors import ConfigError, InvalidParameterError, NumericalOverflowError
 from groupsynch.experiments import (ExperimentConfig, run,
@@ -50,6 +51,9 @@ def test_config_bad_budget():
     ({"budgets": {"enumration": 10}}, "budgets.enumration"),
     ({"params": {"methods": ["exakt"]}}, "params.methods"),
     ({"params": {"methods": ["exact", "MC"]}}, "params.methods"),
+    # the exact route counts cyclic count vectors, whatever the prior's label
+    ({"params": {"prior": "circle", "methods": ["md", "exact"]}}, "params.methods"),
+    ({"params": {"prior": "foo"}}, "params.prior"),
 ])
 def test_config_typos_name_the_field(data, field):
     with pytest.raises(ConfigError) as exc:
@@ -100,6 +104,26 @@ def test_rerun_is_byte_identical(tmp_path):
         })
         run(cfg)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_failures_are_read_off_the_rows(monkeypatch, tmp_path):
+    def broken(dist, n, alpha):
+        return BoundCheck(lhs=2.0, rhs=1.0, holds=False, detail={})
+    monkeypatch.setattr(experiments.bounds_mod, "check_clt_moment_bound", broken)
+    result = run(ExperimentConfig.from_dict({
+        "kind": "bound-suite", "seed": 1,
+        "params": {"clt_n": [30], "clt_alpha": [1, 2], "clt_bernoulli_p": [0.5],
+                   "trec_L": [3], "trec_n": [10], "trec_alpha_sum": 1,
+                   "trec_gamma": [0], "l3_dmax": 2},
+        "out": {"manifest": str(tmp_path / "m.json")},
+    }))
+    failed = [row for row in result.rows if not row["pass"]]
+    assert len(failed) == 4 and {row["check"] for row in failed} == {"clt-moment"}
+    assert len(result.failures) == len(failed)
+    assert all(msg.startswith("check=clt-moment ") for msg in result.failures)
+    assert result.exit_code == 1
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert manifest["failures"] == result.failures
 
 
 def test_equivalence_suite_passes():

@@ -495,3 +495,10 @@ def test_model_wrapper():
         Model("cyclic", L=1)
     with pytest.raises(InvalidParameterError):
         Model("group")
+
+
+@pytest.mark.parametrize("snr", [np.nan, -0.9, np.inf])
+def test_model_rejects_bad_snr(snr):
+    # the Monte-Carlo route reads the model's snr without a check of its own
+    with pytest.raises(InvalidParameterError):
+        Model("cyclic", L=3, snr=snr)
