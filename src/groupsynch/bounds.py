@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import InvalidParameterError, NumericalOverflowError, ResourceLimitError
 from .ldlr import _CHUNK_ENTRIES, _expand_over_mass, moment_table
@@ -67,6 +66,7 @@ def _moment_constant(a: float) -> float:
 def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha: float) -> np.ndarray:
     """E |Binomial(m_i, p) - m_i p|^two_alpha for each m_i, exactly: one binom.pmf
     call per chunk of ldlr._CHUNK_ENTRIES entries, one fsum per row (pmf 0 past m_i)."""
+    from scipy.stats import binom   # here: at module level it doubles the import time
     rows = max(1, _CHUNK_ENTRIES // (int(m.max()) + 1))
     out = []
     for start in range(0, len(m), rows):

@@ -26,8 +26,8 @@ from .detect import (DetectorConfig, calibrate_threshold, detect as run_detect,
 from . import models as models_mod
 from .ensembles import EnsembleKind, sample
 from .errors import ConfigError, GroupsynchError, InvalidParameterError
-from .experiments import (KINDS, ExperimentConfig, _atomic_write, _ldlr_report,
-                          _model_from_name, run, write_csv)
+from .experiments import (_PRIORS, _ROUTES, KINDS, ExperimentConfig, _atomic_write,
+                          _ldlr_report, _model_from_name, run, write_csv)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -106,8 +106,8 @@ def _cmd_sample_ensemble(args) -> int:
 def _cmd_ldlr(args) -> int:
     rep = _ldlr_report(args.method, args.prior, args.L, args.n, args.snr, args.D,
                        exact=args.rational, statistic=args.statistic,
-                       samples=args.samples, seed=args.seed, budget=_budget(),
-                       md_budget=_budget(ldlr_mod.MD_BUDGET))
+                       samples=args.samples, seed=args.seed,
+                       budgets={"enumeration": _budget(), "md": _budget(ldlr_mod.MD_BUDGET)})
     payload = {
         "params": rep.params, "method": rep.method,
         "terms": [float(t) for t in rep.terms],
@@ -279,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample_ensemble)
 
     p = sub.add_parser("ldlr", help="degree-D likelihood-ratio second moment")
-    p.add_argument("--method", choices=("exact", "brute", "md", "mc"), required=True)
-    p.add_argument("--prior", choices=("circle", "cyclic"), default="cyclic")
+    p.add_argument("--method", choices=tuple(_ROUTES), required=True)
+    p.add_argument("--prior", choices=_PRIORS, default="cyclic")
     p.add_argument("--statistic", choices=("pearson", "all_frequencies"),
-                   default="pearson")
+                   help="default: the route's own statistic")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="snr", type=float, required=True)

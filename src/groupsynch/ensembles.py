@@ -60,11 +60,6 @@ class EnsembleKind:
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise InvalidParameterError("matrix size parameter must be an integer >= 1")
 
-    @property
-    def shape(self):
-        m = 2 * self.n if self.tag == "GSE" else self.n
-        return (m, m)
-
 
 @dataclass(frozen=True)
 class NoiseMatrix:

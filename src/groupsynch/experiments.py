@@ -7,7 +7,8 @@ Rows are flat dicts; every row carries the config hash and the seed.  A
 check row's verdict is its ``pass`` column, and :func:`run` reads the
 failures off those rows: one message per row whose ``pass`` is false.  The
 manifest records library versions, the bundled OpenBLAS libraries with
-their thread counts, wall time, and the failures.
+their thread counts, wall time, and the failures.  ``_ROUTES`` says which
+statistic each LDLR route computes; the CLI, the sweep and phase diagram read it.
 """
 from __future__ import annotations
 
@@ -44,8 +45,15 @@ __all__ = [
 ]
 
 _BUDGETS = ("enumeration", "md")      # count vectors; md_count tuples
-_METHODS = ("exact", "md", "mc")      # the ldlr-sweep routes
-_PRIORS = ("circle", "cyclic")
+# What each LDLR route computes: method -> ({prior: its statistics there, its own first},
+# has a rational form); md's all_frequencies includes the trivial channel on cyclic priors
+_ROUTES = {
+    "exact": ({"cyclic": ("pearson", "all_frequencies")}, True),
+    "brute": ({"cyclic": ("pearson", "all_frequencies")}, True),
+    "md": ({"circle": ("all_frequencies",), "cyclic": ("all_frequencies",)}, True),
+    "mc": ({"circle": ("all_frequencies",), "cyclic": ("pearson",)}, False),
+}
+_PRIORS = tuple(sorted({prior for stats, _ in _ROUTES.values() for prior in stats}))
 
 _DEFAULT_PARAMS = {
     "ldlr-sweep": {
@@ -159,10 +167,7 @@ class ExperimentConfig:
         if "prior" in self.params and self.params["prior"] not in _PRIORS:
             raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
-            if method not in _METHODS:
-                raise ConfigError("params.methods",
-                                  f"unknown method {method!r}; expected one of {_METHODS}")
-            _check_route(method, self.params["prior"], "params.methods")
+            _check_route(method, self.params["prior"], None, False, "params.methods")
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": self.params,
@@ -251,27 +256,33 @@ def stat_threshold_upper_bound(L: int) -> float:
 # Suite runners
 # ---------------------------------------------------------------------------
 
-def _check_route(method: str, prior: str, field: str) -> None:
-    """The count-vector routes, exact and brute, cover the cyclic prior only."""
-    if method in ("exact", "brute") and prior != "cyclic":
-        raise ConfigError(field, f"the {method} route covers the cyclic prior only; "
-                                 f"use md or mc for the {prior} prior")
+def _check_route(method: str, prior: str, statistic, exact: bool, field: str) -> str:
+    """The statistic ``method`` computes on ``prior`` (its own if ``statistic`` is None),
+    or a ConfigError under ``field``, ``statistic`` or ``rational``, read off ``_ROUTES``."""
+    stats, rational = _ROUTES.get(method, ({}, False))
+    if prior not in stats:
+        raise ConfigError(field, f"no {method!r} route covers the {prior} prior")
+    if statistic is not None and statistic not in stats[prior]:
+        raise ConfigError("statistic", f"{method} computes {'/'.join(stats[prior])} on {prior}")
+    if exact and not rational:
+        raise ConfigError("rational", f"the {method} route has no rational form")
+    return stats[prior][0] if statistic is None else statistic
 
 
 def _ldlr_report(method, prior, L, n, snr, D, *, exact, statistic, samples, seed,
-                 budget, md_budget) -> ldlr_mod.LdlrReport:
-    """The LDLR route for one method: exact, brute, md or mc (Monte-Carlo)."""
-    _check_route(method, prior, "prior")
-    if method == "exact":
-        return ldlr_mod.ldlr_exact_multinomial(L, n, snr, D, exact=exact,
-                                               statistic=statistic, budget=budget)
-    if method == "brute":
-        return ldlr_mod.ldlr_bruteforce_signals(L, n, snr, D, exact=exact,
-                                                statistic=statistic, budget=budget)
+                 budgets) -> ldlr_mod.LdlrReport:
+    """The LDLR route for one method, exact, brute, md or mc, once _check_route passes."""
+    statistic = _check_route(method, prior, statistic, exact, "prior")
+    if method in ("exact", "brute"):
+        route = (ldlr_mod.ldlr_exact_multinomial if method == "exact"
+                 else ldlr_mod.ldlr_bruteforce_signals)
+        return route(L, n, snr, D, exact=exact, statistic=statistic,
+                     budget=budgets["enumeration"])
     if method == "md":
-        return ldlr_mod.ldlr_from_md(prior, L, n, snr, D, exact=exact, budget=md_budget)
-    return ldlr_mod.ldlr_montecarlo_overlap(models_mod.Model(prior, L=L, snr=snr),
-                                            n, D, samples, seed=seed)
+        return ldlr_mod.ldlr_from_md(prior, L, n, snr, D, exact=exact,
+                                     budget=budgets.get("md", ldlr_mod.MD_BUDGET))
+    return ldlr_mod.ldlr_montecarlo_overlap(_model_from_name(prior, L, snr), n, D, samples,
+                                            seed=seed)
 
 
 def _run_ldlr_sweep(cfg: ExperimentConfig):
@@ -282,12 +293,11 @@ def _run_ldlr_sweep(cfg: ExperimentConfig):
             for snr in p["snr_grid"]:
                 for method in p["methods"]:
                     rep = _ldlr_report(method, p["prior"], L, n, snr, p["D"],
-                                       exact=False, statistic="pearson",
-                                       samples=p["mc_samples"], seed=cfg.seed,
-                                       budget=cfg.budgets["enumeration"],
-                                       md_budget=cfg.budgets.get("md", ldlr_mod.MD_BUDGET))
+                                       exact=False, statistic=None, samples=p["mc_samples"],
+                                       seed=cfg.seed, budgets=cfg.budgets)
                     row = {"prior": p["prior"], "L": L, "n": n, "snr": snr,
                            "D": p["D"], "method": method,
+                           "statistic": rep.params["statistic"],
                            "stderr": "" if rep.stderr is None else rep.stderr[-1],
                            "cumulative": float(rep.cumulative)}
                     row.update((f"t{d}", float(t)) for d, t in enumerate(rep.terms))
@@ -303,10 +313,8 @@ def _run_power_sweep(cfg: ExperimentConfig):
 
 
 def _model_from_name(name: str, L: int, snr: float) -> models_mod.Model:
-    if name == "circle":
-        return models_mod.Model("circle", L=L, snr=snr)
-    if name == "cyclic":
-        return models_mod.Model("cyclic", L=L, snr=snr)
+    if name in ("circle", "cyclic"):
+        return models_mod.Model(name, L=L, snr=snr)
     group, full = build_catalog(name)
     return models_mod.Model("group", snr=snr, group=group,
                             irreps=full.nonredundant())
@@ -456,22 +464,19 @@ def _run_phase_diagram(cfg: ExperimentConfig):
     """
     rows = []
     p = cfg.params
-    budget = cfg.budgets["enumeration"]
     if not all(0 <= float(snr) < math.inf for snr in p["snr_grid"]):
         raise InvalidParameterError("snr values must be finite and nonnegative")
+    route = dict(exact=False, statistic=None, samples=20000, seed=cfg.seed, budgets=cfg.budgets)
     for L in p["L_grid"]:
         lb = stat_threshold_lower_bound(L)
         ub = stat_threshold_upper_bound(L)
         D = max(1, int(p["n"] ** p["D_exponent"]))
         try:
-            rep = ldlr_mod.ldlr_exact_multinomial(L, p["n"], 1.0, D, budget=budget)
-            method = "exact"
+            method, rep = "exact", _ldlr_report("exact", "cyclic", L, p["n"], 1.0, D, **route)
         except ResourceLimitError:
             # the count vectors C(n+L-1, L-1) outgrow the budget for large L;
             # fall back to the Monte-Carlo overlap route
-            rep = ldlr_mod.ldlr_montecarlo_overlap(models_mod.Model("cyclic", L=L, snr=1.0),
-                                                   p["n"], D, 20000, seed=cfg.seed)
-            method = "mc"
+            method, rep = "mc", _ldlr_report("mc", "cyclic", L, p["n"], 1.0, D, **route)
         for snr in p["snr_grid"]:
             try:
                 cumulative = sum(t * float(snr) ** (2 * d) for d, t in enumerate(rep.terms))

@@ -37,6 +37,10 @@ Routes:
     sampled signals, drawn in fixed-size chunks for finite priors, and
     reports the standard error of each mean.
 
+Every report names the statistic it computed in ``params["statistic"]`` (md:
+``all_frequencies``; mc: ``all_frequencies`` on the circle, ``pearson`` on finite
+priors).  The three rational routes turn moments into terms through ``_terms``.
+
 :func:`moment_table` reads the moments E[s^d] back off the exact route's
 terms, and :func:`polylog_neg` evaluates, in closed form, the negative-order
 polylogarithm that bounds the cumulative below the spectral threshold.
@@ -99,10 +103,6 @@ class LdlrReport:
     def cumulative(self):
         return sum(self.terms)
 
-    @property
-    def degree(self) -> int:
-        return len(self.terms) - 1
-
 
 # ---------------------------------------------------------------------------
 # Count statistics
@@ -119,6 +119,14 @@ def _twice_stat(counts, L, statistic):
 def _check_statistic(statistic):
     if statistic not in ("pearson", "all_frequencies"):
         raise InvalidParameterError(f"unknown statistic {statistic!r}")
+
+
+def _terms(moments, lam, n: int, exact: bool) -> tuple:
+    """Terms t_d = lam^(2d) E[s^d] / (n^d d!) from the rational moments E[s^d],
+    each rounded once to a float unless ``exact``."""
+    lam2 = Fraction(lam) ** 2
+    terms = tuple(lam2 ** d * m / (n ** d * math.factorial(d)) for d, m in enumerate(moments))
+    return terms if exact else tuple(float(t) for t in terms)
 
 
 def first_moment_via_binomial(L: int, n: int, exact: bool = True):
@@ -251,12 +259,11 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
     # Q <= n^2, so 2s stays exact in int64
     twice_s = L * q - n * n if statistic == "pearson" else 2 * L * q
     if exact:
-        twice_s, power, terms = twice_s.astype(object), weight, []
+        twice_s, power, moments = twice_s.astype(object), weight, []
         for d in range(D + 1):      # power = weight * (2s)^d, one product per degree
-            terms.append(Fraction(lam) ** (2 * d) * Fraction(
-                int(power.sum()), 2 ** d * L ** n * n ** d * math.factorial(d)))
+            moments.append(Fraction(int(power.sum()), 2 ** d * L ** n))
             power = power * twice_s
-        return LdlrReport(tuple(terms), "exact-multinomial", params)
+        return LdlrReport(_terms(moments, lam, n, True), "exact-multinomial", params)
 
     pos = twice_s > 0      # never empty: all mass in one cell gives s > 0
     logs, logw = np.log(0.5 * twice_s[pos]), weight[pos]
@@ -300,20 +307,14 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
         counts = [0] * L
         for a in assign:
             counts[a] += 1
-        ts = _twice_stat(counts, L, statistic)
-        acc = 1
-        sums[0] += 1
-        for d in range(1, D + 1):
-            acc *= ts
+        ts, acc = _twice_stat(counts, L, statistic), 1
+        for d in range(D + 1):
             sums[d] += acc
+            acc *= ts
     params = {"L": L, "n": n, "lam": float(lam), "D": D, "statistic": statistic,
               "exact": exact}
-    terms = [Fraction(1) if exact else 1.0]
-    for d in range(1, D + 1):
-        e_sd = Fraction(sums[d], 2 ** d * total)
-        td = Fraction(lam) ** (2 * d) * e_sd / (Fraction(n) ** d * math.factorial(d))
-        terms.append(td if exact else float(td))
-    return LdlrReport(tuple(terms), "brute-force", params)
+    moments = [Fraction(total_d, 2 ** d * total) for d, total_d in enumerate(sums)]
+    return LdlrReport(_terms(moments, lam, n, exact), "brute-force", params)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +394,9 @@ def ldlr_from_md(prior: str, L: int, n: int, lam, D: int, exact: bool = False,
     """
     _check_route_args(L, n, lam, D, min_L=1)
     counts = [md_count(prior, L, n, d, budget) for d in range(D + 1)]
-    params = {"L": L, "n": n, "lam": float(lam), "D": D, "prior": prior}
-    terms = []
-    for d, c in enumerate(counts):
-        td = Fraction(lam) ** (2 * d) * c / (Fraction(n) ** d * math.factorial(d))
-        terms.append(td if exact else float(td))
-    return LdlrReport(tuple(terms), "md-count", params)
+    params = {"L": L, "n": n, "lam": float(lam), "D": D, "prior": prior,
+              "statistic": "all_frequencies"}
+    return LdlrReport(_terms(counts, lam, n, exact), "md-count", params)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +496,8 @@ def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
     powers[-1] = powers[:-1].sum(axis=0)
     stderr = tuple(float(e) for e in powers.std(axis=1, ddof=1) / math.sqrt(samples))
 
-    params = {"model": model.describe(), "n": n, "lam": model.snr, "D": D,
-              "samples": samples}
+    params = {"model": model.describe(), "n": n, "lam": model.snr, "D": D, "samples": samples,
+              "statistic": "all_frequencies" if model.kind == "circle" else "pearson"}
     return LdlrReport(tuple(float(t) for t in powers[:-1].mean(axis=1)), "monte-carlo",
                       params, stderr=stderr)
 

@@ -1,6 +1,9 @@
 import importlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,10 +11,18 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+import groupsynch
 from groupsynch.bounds import (_centered_binomial_moments, _partial_tuples,
                                check_clt_moment_bound, check_l3_moment_bound,
                                check_t_recursion)
 from groupsynch.errors import InvalidParameterError, NumericalOverflowError
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone about doubles the package's import time; bounds loads it on use
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(groupsynch.__file__))}
+    code = "import sys, groupsynch; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_clt_rademacher_alpha_one_exact_values():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from groupsynch import ldlr
 from groupsynch.cli import main
 from groupsynch.ldlr import (ldlr_bruteforce_signals, ldlr_exact_multinomial,
                              ldlr_from_md, ldlr_montecarlo_overlap)
@@ -91,6 +92,7 @@ def test_ldlr_cli_matches_library(tmp_path):
                      "--out", str(out), "--csv", str(csv_out)]) == 0
         data = json.loads(out.read_text())
         assert data["method"] == rep.method
+        assert data["params"]["statistic"] == rep.params["statistic"]
         assert data["terms"] == [float(t) for t in rep.terms]
         assert data["cumulative"] == float(rep.cumulative)
         assert data.get("stderr") == (None if rep.stderr is None else list(rep.stderr))
@@ -180,3 +182,20 @@ def test_budget_env_must_be_positive_integer(monkeypatch, capsys, value):
 def test_ldlr_cli_rejects_circle_for_count_routes():
     assert main(["ldlr", "--method", "exact", "--prior", "circle", "--L", "2",
                  "--n", "4", "--lambda", "0.5", "--D", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv, field, route", [
+    (["--method", "md", "--statistic", "pearson"], "statistic", "md_count"),
+    (["--method", "md", "--prior", "circle", "--statistic", "pearson"], "statistic", "md_count"),
+    (["--method", "mc", "--statistic", "all_frequencies"], "statistic", "sample_overlaps"),
+    (["--method", "mc", "--prior", "circle", "--statistic", "pearson"], "statistic",
+     "sample_overlaps"),
+    (["--method", "mc", "--rational"], "rational", "sample_overlaps"),
+])
+def test_ldlr_cli_refuses_what_the_route_does_not_compute(monkeypatch, capsys, argv, field,
+                                                          route):
+    def ran(*args, **kwargs):
+        raise AssertionError("the route ran before the refusal")
+    monkeypatch.setattr(ldlr, route, ran)
+    assert main(["ldlr", "--L", "3", "--n", "6", "--lambda", "0.7", "--D", "2", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")

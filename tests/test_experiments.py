@@ -6,11 +6,13 @@ import pytest
 from groupsynch import experiments
 from groupsynch.bounds import BoundCheck
 from groupsynch.eigen import _blas_threads
-from groupsynch.errors import ConfigError, InvalidParameterError, NumericalOverflowError
+from groupsynch.errors import (ConfigError, InvalidParameterError, NumericalOverflowError,
+                               ResourceLimitError)
 from groupsynch.experiments import (ExperimentConfig, run,
                                     stat_threshold_lower_bound,
                                     stat_threshold_upper_bound, write_csv)
-from groupsynch.ldlr import ldlr_exact_multinomial, ldlr_montecarlo_overlap
+from groupsynch.ldlr import (ldlr_bruteforce_signals, ldlr_exact_multinomial, ldlr_from_md,
+                             ldlr_montecarlo_overlap)
 from groupsynch.models import Model
 
 
@@ -54,6 +56,7 @@ def test_config_bad_budget():
     # the exact route counts cyclic count vectors, whatever the prior's label
     ({"params": {"prior": "circle", "methods": ["md", "exact"]}}, "params.methods"),
     ({"params": {"prior": "foo"}}, "params.prior"),
+    ({"params": {"prior": "circle", "methods": ["brute"]}}, "params.methods"),
 ])
 def test_config_typos_name_the_field(data, field):
     with pytest.raises(ConfigError) as exc:
@@ -143,6 +146,42 @@ def test_ldlr_sweep_rows():
     assert by_method["exact"]["t0"] == 1.0
     # md route covers the redundant channel list, so it dominates
     assert by_method["md"]["cumulative"] >= by_method["exact"]["cumulative"]
+
+
+def test_ldlr_sweep_states_each_route_statistic():
+    result = run(ExperimentConfig.from_dict({
+        "kind": "ldlr-sweep", "seed": 4,
+        "params": {"L_grid": [3], "n_grid": [6], "snr_grid": [0.7], "D": 2,
+                   "methods": ["exact", "brute", "md", "mc"], "mc_samples": 2000},
+    }))
+    assert [r["statistic"] for r in result.rows] == \
+        ["pearson", "pearson", "all_frequencies", "pearson"]
+    direct = [ldlr_exact_multinomial(3, 6, 0.7, 2),
+              ldlr_bruteforce_signals(3, 6, 0.7, 2, exact=False),
+              ldlr_from_md("cyclic", 3, 6, 0.7, 2),
+              ldlr_montecarlo_overlap(Model("cyclic", L=3, snr=0.7), 6, 2, 2000, seed=4)]
+    for row, rep in zip(result.rows, direct):
+        assert [row[f"t{d}"] for d in range(3)] == list(rep.terms), row["method"]
+
+
+def test_ldlr_sweep_brute_is_held_to_the_enumeration_budget():
+    cfg = ExperimentConfig.from_dict({
+        "kind": "ldlr-sweep", "seed": 1, "budgets": {"enumeration": 100},
+        "params": {"L_grid": [3], "n_grid": [6], "snr_grid": [0.7], "methods": ["brute"]}})
+    with pytest.raises(ResourceLimitError):     # 3^6 = 729 assignments
+        run(cfg)
+
+
+@pytest.mark.parametrize("method, prior, statistic", [
+    (method, prior, statistic) for method, (stats, _) in experiments._ROUTES.items()
+    for prior in stats for statistic in (None, *stats[prior])])
+def test_each_route_reports_the_statistic_of_the_route_table(method, prior, statistic):
+    # the routes stamp their own params, so this ties the table to what they compute
+    stats, rational = experiments._ROUTES[method]
+    rep = experiments._ldlr_report(method, prior, 2, 3, 0.5, 2, exact=rational,
+                                   statistic=statistic, samples=200, seed=1,
+                                   budgets={"enumeration": 10 ** 4})
+    assert rep.params["statistic"] == (statistic or stats[prior][0])
 
 
 def test_phase_diagram_markers(tmp_path):
