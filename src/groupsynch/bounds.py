@@ -7,7 +7,10 @@ two moment primitives:
     moment generating function,
     E |sum X_i|^(2a)  <=  4 * 2^a * Gamma(2a + 1) * sigma^(2a) * n^a,
     read off the centered-binomial moments E |Binomial(m, p) - m p|^(2a)
-    of :func:`_centered_binomial_moments`.
+    of :func:`_centered_binomial_moments`.  That primitive computes each
+    binomial pmf row once for any number of exponents, so ``_clt_checks``,
+    which the bound suite calls once per (distribution, n), checks every
+    alpha of a grid from one row, with the same left sides bit for bit.
 
   * :func:`check_t_recursion` — the one-variable elimination step for
     moments of multinomial counts.  With T_{k,alpha} the product of the
@@ -63,18 +66,45 @@ def _moment_constant(a: float) -> float:
     return 4.0 * 2.0 ** a * math.gamma(2 * a + 1)
 
 
-def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha: float) -> np.ndarray:
-    """E |Binomial(m_i, p) - m_i p|^two_alpha for each m_i, exactly: one binom.pmf
-    call per chunk of ldlr._CHUNK_ENTRIES entries, one fsum per row (pmf 0 past m_i)."""
+def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha) -> np.ndarray:
+    """E |Binomial(m_i, p) - m_i p|^a for each m_i and each exponent a of
+    ``two_alpha`` (a scalar or a list), exactly, of shape m.shape + shape of
+    ``two_alpha``: one binom.pmf call per chunk of ldlr._CHUNK_ENTRIES entries,
+    shared by every exponent, and one fsum per row and exponent (pmf 0 past m_i)."""
     from scipy.stats import binom   # here: at module level it doubles the import time
     rows = max(1, _CHUNK_ENTRIES // (int(m.max()) + 1))
     out = []
     for start in range(0, len(m), rows):
         mc = m[start:start + rows, None]
         ks = np.arange(mc.max() + 1)
-        grid = binom.pmf(ks, mc, p) * np.abs(ks - mc * p) ** two_alpha
-        out += [math.fsum(row) for row in grid]
-    return np.array(out)
+        pmf, dev = binom.pmf(ks, mc, p), np.abs(ks - mc * p)
+        sums = [[math.fsum(row) for row in pmf * dev ** a] for a in np.ravel(two_alpha)]
+        out += zip(*sums)       # one tuple over the exponents per row
+    return np.array(out).reshape(np.shape(m) + np.shape(two_alpha))
+
+
+def _clt_checks(distribution, n: int, alphas) -> list:
+    """:func:`check_clt_moment_bound` at each alpha of ``alphas``, from one binomial
+    pmf row; every argument is checked before the row is computed."""
+    if not all(0 <= alpha <= 10 for alpha in alphas):     # NaN fails too
+        raise InvalidParameterError("alpha must lie in [0, 10]")
+    if not isinstance(n, numbers.Integral) or not 1 <= n <= 10 ** 4:
+        raise InvalidParameterError("n must be an integer in [1, 1e4]")
+    if distribution == "rademacher":
+        p, sigma2, base = 0.5, 1.0, 4.0     # sum = 2 Binomial(n, 1/2) - n
+    else:
+        kind, p = distribution
+        if kind != "bernoulli" or not 0 < p < 1:
+            raise InvalidParameterError(f"unknown distribution {distribution!r}")
+        sigma2, base = p * (1 - p), 1.0
+    moments = _centered_binomial_moments(np.array([n]), p, [2 * alpha for alpha in alphas])[0]
+    checks = []
+    for alpha, moment in zip(alphas, moments):
+        lhs = base ** alpha * float(moment)
+        rhs = _moment_constant(alpha) * sigma2 ** alpha * float(n) ** alpha
+        checks.append(BoundCheck(lhs, rhs, lhs <= rhs,
+                                 {"distribution": str(distribution), "n": n, "alpha": alpha}))
+    return checks
 
 
 def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
@@ -83,21 +113,7 @@ def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
     ``distribution`` is "rademacher" or ("bernoulli", p); the sum's law is a
     shifted binomial either way, so the left side is an exact finite sum.
     """
-    if not 0 <= alpha <= 10:     # NaN fails too
-        raise InvalidParameterError("alpha must lie in [0, 10]")
-    if not isinstance(n, numbers.Integral) or not 1 <= n <= 10 ** 4:
-        raise InvalidParameterError("n must be an integer in [1, 1e4]")
-    if distribution == "rademacher":
-        p, sigma2, scale = 0.5, 1.0, 4.0 ** alpha    # sum = 2 Binomial(n, 1/2) - n
-    else:
-        kind, p = distribution
-        if kind != "bernoulli" or not 0 < p < 1:
-            raise InvalidParameterError(f"unknown distribution {distribution!r}")
-        sigma2, scale = p * (1 - p), 1.0
-    lhs = scale * float(_centered_binomial_moments(np.array([n]), p, 2 * alpha)[0])
-    rhs = _moment_constant(alpha) * sigma2 ** alpha * float(n) ** alpha
-    return BoundCheck(lhs, rhs, lhs <= rhs,
-                      {"distribution": str(distribution), "n": n, "alpha": alpha})
+    return _clt_checks(distribution, n, (alpha,))[0]
 
 
 def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck:

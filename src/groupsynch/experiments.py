@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -112,6 +113,26 @@ _DEFAULT_PARAMS = {
 KINDS = tuple(_DEFAULT_PARAMS)
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# What a value must be, checked before any row is computed: param -> (test, rule).
+# A grid's test holds for each entry; mc_samples is checked only where mc runs.
+_PARAM_RULES = {
+    "D": (lambda v: _integer(v) and v >= 0, "must be an integer >= 0"),
+    "mc_samples": (lambda v: _integer(v) and v >= 100, "must be an integer >= 100"),
+    "clt_alpha": (lambda v: _real(v) and 0 <= v <= 10, "entries must lie in [0, 10]"),
+    "clt_n": (lambda v: _integer(v) and 1 <= v <= 10 ** 4,
+              "entries must be integers in [1, 1e4]"),
+    "clt_bernoulli_p": (lambda v: _real(v) and 0 < v < 1, "entries must lie in (0, 1)"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -161,9 +182,14 @@ class ExperimentConfig:
             if key not in _DEFAULT_PARAMS[self.kind]:
                 raise ConfigError(f"params.{key}", f"unknown parameter for {self.kind}")
             # a param is a grid exactly when its default is a list
-            if isinstance(_DEFAULT_PARAMS[self.kind][key], list) and (
-                    not isinstance(value, (list, tuple)) or len(value) == 0):
+            grid = isinstance(_DEFAULT_PARAMS[self.kind][key], list)
+            if grid and (not isinstance(value, (list, tuple)) or len(value) == 0):
                 raise ConfigError(f"params.{key}", "grid must be a nonempty list")
+            test, rule = _PARAM_RULES.get(key, (None, None))
+            if key == "mc_samples" and "mc" not in self.params.get("methods", ("mc",)):
+                test = None
+            if test is not None and not all(map(test, value if grid else [value])):
+                raise ConfigError(f"params.{key}", rule)
         if "prior" in self.params and self.params["prior"] not in _PRIORS:
             raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
@@ -372,8 +398,7 @@ def _run_bound_suite(cfg: ExperimentConfig):
     distros = ["rademacher"] + [("bernoulli", q) for q in p["clt_bernoulli_p"]]
     for dist in distros:
         for n in p["clt_n"]:
-            for a in p["clt_alpha"]:
-                res = bounds_mod.check_clt_moment_bound(dist, n, a)
+            for a, res in zip(p["clt_alpha"], bounds_mod._clt_checks(dist, n, p["clt_alpha"])):
                 rows.append({"check": "clt-moment", "case": str(dist), "n": n,
                              "param": a, "lhs": res.lhs, "rhs": res.rhs,
                              "pass": res.holds})

@@ -27,9 +27,10 @@ Routes:
     states on one int64 key; the float path reduces a block of degrees at
     once with one log-sum-exp along Q.  Every term is bit for bit what a
     lexicographic (mass, Q) sort and one log-sum-exp per degree give;
-  * :func:`ldlr_bruteforce_signals` enumerates all L^n signal assignments
-    and evaluates 2s on each count vector (the independent oracle for the
-    multinomial route);
+  * :func:`ldlr_bruteforce_signals` visits all L^n signal assignments, in
+    NumPy chunks of their base-L digits, and tallies 2s on each (the
+    independent oracle for the multinomial route: it shares no code with the
+    occupancy law);
   * :func:`ldlr_from_md` counts zero-sum index tuples, which fixes the
     moments of the ``all_frequencies`` statistic without touching the
     multinomial law (and is the exact route for the circle prior);
@@ -50,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,14 +109,6 @@ class LdlrReport:
 # ---------------------------------------------------------------------------
 # Count statistics
 # ---------------------------------------------------------------------------
-
-def _twice_stat(counts, L, statistic):
-    """2s of a count vector, an integer: L * sum n_g^2 - n^2 for ``pearson``,
-    2 L * sum n_g^2 for ``all_frequencies``."""
-    q = L * sum(c * c for c in counts)
-    n = sum(counts)
-    return q - n * n if statistic == "pearson" else 2 * q
-
 
 def _check_statistic(statistic):
     if statistic not in ("pearson", "all_frequencies"):
@@ -293,27 +287,41 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
                             budget: int = DEFAULT_BUDGET) -> LdlrReport:
     """Average s^d over all L^n equally likely signal assignments.
 
-    Deliberately naive: iterates every assignment, tallies its counts and
-    accumulates integer powers, so it shares no code path with the
-    multinomial weights it is used to check.
+    Visits every assignment, so it shares no code path with the multinomial
+    law it is used to check.  The assignments are the integers 0..L^n - 1,
+    taken in chunks of at most ``_CHUNK_ENTRIES`` (position, assignment)
+    digits.  Each chunk reads the base-L digits of an ``arange``, counts
+    sum_g n_g^2 as the ordered position pairs with equal digits, and tallies
+    the distinct values of 2s, all in int64; the sums of (2s)^d are exact
+    integers.  Memory stays within one chunk whatever L and n are.  An L^n
+    or a 2s past int64 raises :class:`ResourceLimitError` before any array
+    is built, whatever the ``budget``.
     """
     _check_statistic(statistic)
     _check_route_args(L, n, lam, D)
+    # the logarithm bounds L^n before the power is built, so a huge n never builds it
+    if n * math.log2(L) > 64 or max(L ** n, 2 * L * n * n) > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"{L}^{n} assignments pass int64")
     total = L ** n
     if total > budget:
         raise ResourceLimitError(f"{total} assignments exceed the budget of {budget}")
-    sums = [0] * (D + 1)  # sums of (2s)^d as exact integers
-    for assign in itertools.product(range(L), repeat=n):
-        counts = [0] * L
-        for a in assign:
-            counts[a] += 1
-        ts, acc = _twice_stat(counts, L, statistic), 1
-        for d in range(D + 1):
-            sums[d] += acc
-            acc *= ts
+    tally = Counter()   # 2s -> assignments
+    rows = max(1, _CHUNK_ENTRIES // n)
+    for start in range(0, total, rows):
+        code = np.arange(start, min(start + rows, total), dtype=np.int64)
+        digits = np.empty((n, len(code)), dtype=np.int64)
+        for j in range(n):
+            code, digits[j] = np.divmod(code, L)
+        q = np.full(len(code), n, dtype=np.int64)   # n + 2 #{i < j : a_i = a_j}
+        for j in range(1, n):
+            q += 2 * (digits[:j] == digits[j]).sum(axis=0)
+        twice_s = L * q - n * n if statistic == "pearson" else 2 * L * q
+        values, counts = np.unique(twice_s, return_counts=True)
+        tally.update(dict(zip(values.tolist(), counts.tolist())))
     params = {"L": L, "n": n, "lam": float(lam), "D": D, "statistic": statistic,
               "exact": exact}
-    moments = [Fraction(total_d, 2 ** d * total) for d, total_d in enumerate(sums)]
+    moments = [Fraction(sum(c * v ** d for v, c in tally.items()), 2 ** d * total)
+               for d in range(D + 1)]
     return LdlrReport(_terms(moments, lam, n, exact), "brute-force", params)
 
 

@@ -12,7 +12,8 @@ import pytest
 from scipy.stats import binom
 
 import groupsynch
-from groupsynch.bounds import (_centered_binomial_moments, _partial_tuples,
+from groupsynch import bounds
+from groupsynch.bounds import (_centered_binomial_moments, _clt_checks, _partial_tuples,
                                check_clt_moment_bound, check_l3_moment_bound,
                                check_t_recursion)
 from groupsynch.errors import InvalidParameterError, NumericalOverflowError
@@ -92,6 +93,40 @@ def test_centered_binomial_moments_match_per_m_sums(p, two_alpha):
     # every m at once, and in an order that puts small m after large
     assert _centered_binomial_moments(ms, p, two_alpha).tolist() == want
     assert _centered_binomial_moments(ms[::-1], p, two_alpha).tolist() == want[::-1]
+
+
+def test_centered_binomial_moments_share_one_pmf_row_across_exponents(monkeypatch):
+    ms, exps = np.arange(41), [0, 1, 2.5, 8]
+    want = np.stack([_centered_binomial_moments(ms, 0.3, a) for a in exps], axis=1)
+    monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 200)      # several chunks
+    got = _centered_binomial_moments(ms, 0.3, exps)
+    assert got.shape == (41, 4) and got.tolist() == want.tolist()
+
+
+def test_clt_batch_matches_each_point_of_the_default_grid():
+    alphas = [0, 0.5, 1, 1.5, 2, 3, 4, 5, 6, 8, 10]
+    distros = ["rademacher"] + [("bernoulli", p) for p in (0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.9)]
+    for dist in distros:
+        p = 0.5 if dist == "rademacher" else dist[1]
+        for n in (30, 100, 300, 1000, 3000, 10000):
+            ks = np.arange(n + 1)
+            pmf, dev = binom.pmf(ks, n, p), np.abs(ks - n * p)
+            for alpha, got in zip(alphas, _clt_checks(dist, n, alphas)):
+                one = check_clt_moment_bound(dist, n, alpha)
+                assert (got.lhs, got.rhs, got.holds) == (one.lhs, one.rhs, one.holds)
+                assert got.detail == one.detail
+                # the left side as one exact sum per point, independently of the batch
+                base = 4.0 if dist == "rademacher" else 1.0
+                assert got.lhs == base ** alpha * math.fsum(pmf * dev ** (2 * alpha))
+
+
+@pytest.mark.parametrize("alphas", [[1, 2, 11], [math.nan, 1], [-1], [0, 10.5, 2]])
+def test_clt_batch_refuses_a_bad_alpha_before_any_pmf(monkeypatch, alphas):
+    def computed(*args, **kwargs):
+        raise AssertionError("a pmf row was computed")
+    monkeypatch.setattr(bounds, "_centered_binomial_moments", computed)
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        _clt_checks("rademacher", 100, alphas)
 
 
 def test_clt_grid_holds():

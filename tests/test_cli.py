@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from groupsynch import ldlr
+from groupsynch import bounds, ldlr
 from groupsynch.cli import main
 from groupsynch.ldlr import (ldlr_bruteforce_signals, ldlr_exact_multinomial,
                              ldlr_from_md, ldlr_montecarlo_overlap)
@@ -142,6 +142,23 @@ def test_config_error_exit_code(tmp_path):
     path.write_text(json.dumps({"kind": "ldlr-sweep", "seed": 1,
                                 "params": {"L_grid": []}}))
     assert main(["suite", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    ("ldlr-sweep", {"methods": ["exact", "mc"], "mc_samples": 50}, "params.mc_samples"),
+    ("ldlr-sweep", {"D": -1}, "params.D"),
+    ("bound-suite", {"clt_alpha": [1, 11]}, "params.clt_alpha"),
+])
+def test_bad_scalars_and_clt_grids_exit_2_before_any_row(tmp_path, monkeypatch, capsys, kind,
+                                                          params, field):
+    def ran(*args, **kwargs):
+        raise AssertionError("a row was computed before the refusal")
+    monkeypatch.setattr(ldlr, "ldlr_exact_multinomial", ran)
+    monkeypatch.setattr(bounds, "_clt_checks", ran)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+    assert main(["suite", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
 def test_phase_diagram_cli(tmp_path):

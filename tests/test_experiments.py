@@ -64,6 +64,37 @@ def test_config_typos_name_the_field(data, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("kind, params, field", [
+    ("ldlr-sweep", {"methods": ["exact", "mc"], "mc_samples": 50}, "params.mc_samples"),
+    ("ldlr-sweep", {"mc_samples": 2.5e4}, "params.mc_samples"),
+    ("oracle-suite", {"mc_samples": 99}, "params.mc_samples"),
+    ("ldlr-sweep", {"D": -1}, "params.D"),
+    ("ldlr-sweep", {"D": 2.0}, "params.D"),
+    ("ldlr-sweep", {"D": True}, "params.D"),
+    ("oracle-suite", {"D": "3"}, "params.D"),
+    ("bound-suite", {"clt_alpha": [1, 11]}, "params.clt_alpha"),
+    ("bound-suite", {"clt_alpha": [math.nan]}, "params.clt_alpha"),
+    ("bound-suite", {"clt_alpha": [-0.5]}, "params.clt_alpha"),
+    ("bound-suite", {"clt_n": [30, 0]}, "params.clt_n"),
+    ("bound-suite", {"clt_n": [10 ** 4 + 1]}, "params.clt_n"),
+    ("bound-suite", {"clt_n": [30.0]}, "params.clt_n"),
+    ("bound-suite", {"clt_bernoulli_p": [0.5, 1.0]}, "params.clt_bernoulli_p"),
+    ("bound-suite", {"clt_bernoulli_p": [0]}, "params.clt_bernoulli_p"),
+])
+def test_config_scalars_and_clt_grids_name_the_field(kind, params, field):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({"kind": kind, "seed": 1, "params": params})
+    assert exc.value.field == field
+
+
+def test_config_accepts_the_edges_of_each_rule():
+    for kind, params in (("ldlr-sweep", {"methods": ["exact"], "mc_samples": 50, "D": 0}),
+                         ("ldlr-sweep", {"mc_samples": 100}),
+                         ("bound-suite", {"clt_alpha": [0, 10], "clt_n": [1, 10 ** 4],
+                                          "clt_bernoulli_p": [1e-9, 1 - 1e-9]})):
+        ExperimentConfig.from_dict({"kind": kind, "seed": 1, "params": params})
+
+
 def test_config_hash_pinned():
     # valid configs keep the hashes their CSV rows and manifests carry
     assert ExperimentConfig.from_dict({"kind": "oracle-suite", "seed": 1}).hash() \
@@ -110,9 +141,9 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_failures_are_read_off_the_rows(monkeypatch, tmp_path):
-    def broken(dist, n, alpha):
-        return BoundCheck(lhs=2.0, rhs=1.0, holds=False, detail={})
-    monkeypatch.setattr(experiments.bounds_mod, "check_clt_moment_bound", broken)
+    def broken(dist, n, alphas):
+        return [BoundCheck(lhs=2.0, rhs=1.0, holds=False, detail={}) for _ in alphas]
+    monkeypatch.setattr(experiments.bounds_mod, "_clt_checks", broken)
     result = run(ExperimentConfig.from_dict({
         "kind": "bound-suite", "seed": 1,
         "params": {"clt_n": [30], "clt_alpha": [1, 2], "clt_bernoulli_p": [0.5],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ from groupsynch import ldlr
 from groupsynch.errors import (DivergentSeriesError, InvalidParameterError,
                                NumericalOverflowError, ResourceLimitError)
 from groupsynch.groups import build_catalog
-from groupsynch.ldlr import (LdlrReport, _twice_stat, first_moment_via_binomial,
+from groupsynch.ldlr import (LdlrReport, first_moment_via_binomial,
                              group_overlap_stat, ldlr_bruteforce_signals,
                              ldlr_exact_multinomial, ldlr_from_md,
                              ldlr_montecarlo_overlap, md_count, moment_table,
@@ -23,9 +24,33 @@ from groupsynch.models import Model
 from groupsynch.rng import make_rng
 
 
+def _twice_stat(counts, L, statistic):
+    """2s of a count vector, an integer: L * sum n_g^2 - n^2 for ``pearson``,
+    2 L * sum n_g^2 for ``all_frequencies``."""
+    q = L * sum(c * c for c in counts)
+    n = sum(counts)
+    return q - n * n if statistic == "pearson" else 2 * q
+
+
 def s_stat(counts):
     """The ``pearson`` statistic s of a count vector, as an exact Fraction."""
     return Fraction(_twice_stat(counts, len(counts), "pearson"), 2)
+
+
+def _bruteforce_reference(L, n, statistic):
+    """The slow reference for ldlr_bruteforce_signals: the moments E[s^d],
+    d = 0..4, by one Python pass per assignment that tallies its counts and
+    accumulates integer powers of 2s."""
+    sums = [0] * 5  # sums of (2s)^d as exact integers
+    for assign in itertools.product(range(L), repeat=n):
+        counts = [0] * L
+        for a in assign:
+            counts[a] += 1
+        ts, acc = _twice_stat(counts, L, statistic), 1
+        for d in range(5):
+            sums[d] += acc
+            acc *= ts
+    return [Fraction(total_d, 2 ** d * L ** n) for d, total_d in enumerate(sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +161,43 @@ def test_exact_vs_bruteforce_rational():
             a = ldlr_exact_multinomial(L, n, 0.9, 3, exact=True, statistic=statistic)
             b = ldlr_bruteforce_signals(L, n, 0.9, 3, exact=True, statistic=statistic)
             assert a.terms == b.terms, (L, n, statistic)
+
+
+def _check_against_the_reference(L, n):
+    for statistic in ("pearson", "all_frequencies"):
+        moments = _bruteforce_reference(L, n, statistic)
+        for exact in (True, False):
+            got = ldlr_bruteforce_signals(L, n, 0.9, 4, exact=exact, statistic=statistic)
+            assert got.terms == ldlr._terms(moments, 0.9, n, exact), (L, n, statistic, exact)
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+def test_bruteforce_matches_the_per_assignment_loop(L):
+    for n in range(1, 8):
+        _check_against_the_reference(L, n)
+
+
+def test_bruteforce_chunks_match_the_per_assignment_loop(monkeypatch):
+    # 3^7 = 2187 assignments at 7 digits each: chunks of 100 assignments, the last of 87
+    monkeypatch.setattr(ldlr, "_CHUNK_ENTRIES", 7 * 100 + 6)
+    chunks = []
+
+    class Tally(Counter):
+        def update(self, counts=None):      # Counter() calls it with None
+            if counts is not None:
+                chunks.append(sum(counts.values()))
+            super().update(counts)
+
+    monkeypatch.setattr(ldlr, "Counter", Tally)
+    _check_against_the_reference(3, 7)
+    assert chunks == ([100] * 21 + [87]) * 4
+
+
+@pytest.mark.parametrize("L, n", [(2, 64), (3, 40), (2 ** 62, 1), (10, 10 ** 9)])
+def test_bruteforce_past_int64_is_refused_whatever_the_budget(monkeypatch, L, n):
+    monkeypatch.setattr(ldlr, "Counter", lambda: pytest.fail("the enumeration started"))
+    with pytest.raises(ResourceLimitError, match="int64"):
+        ldlr_bruteforce_signals(L, n, 0.9, 2, budget=10 ** 30)
 
 
 def test_exact_vs_bruteforce_float_example():
