@@ -10,9 +10,8 @@ import math
 import numpy as np
 
 from groupsynch import build_catalog
-from groupsynch.models import (cyclic_group_model, indicator_to_canonical,
-                               sample_gsynch_circle, sample_gsynch_cyclic,
-                               sample_gsynch_group, sample_indicator)
+from groupsynch.models import (Model, indicator_to_canonical, sample_gsynch_circle,
+                               sample_gsynch_cyclic, sample_gsynch_group, sample_indicator)
 
 n = 12
 obs = sample_gsynch_circle(3, [0.5, 0.8, 1.1], n, seed=1)
@@ -28,9 +27,10 @@ obs = sample_gsynch_group(group, full.nonredundant(), 0.7, n, seed=3)
 print("quaternion8 channels:",
       [(f.label, f.type_tag, f.matrix.shape) for f in obs.freqs])
 
-# the cyclic sampler is the group sampler specialized to a cyclic group
+# the cyclic sampler is the group sampler specialized to a cyclic group:
+# Model.from_name reads "group(cyclic(4))" as the catalog group cyclic(4)
 a = sample_gsynch_cyclic(4, 0.8, n, seed=4)
-b = cyclic_group_model(4, 0.8).sample(n, seed=4)
+b = Model.from_name("group(cyclic(4))", snr=0.8).sample(n, seed=4)
 same = all(np.array_equal(np.asarray(x.matrix, dtype=complex),
                           np.asarray(y.matrix, dtype=complex))
            for x, y in zip(a.freqs, b.freqs))

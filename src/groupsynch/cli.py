@@ -3,9 +3,10 @@
 Subcommands: simulate, sample-ensemble, ldlr, detect, power, md-count,
 bounds, suite, phase-diagram.  ``detect`` calibrates on the null model named
 in the observation file, which ``simulate`` writes for every model it
-samples.  Every output file is written to a temporary file and renamed
-into place.  Exit codes: 0 success, 1 a suite assertion failed, 2
-configuration error.  The environment variable
+samples; ``models.Model.from_name`` reads the name.  Every output file is
+written to a temporary file and renamed into place.  Exit codes: 0 success,
+1 a suite assertion failed, 2 a usage error (a bad flag or grid) or a
+configuration error (a bad config or input file).  The environment variable
 ``GROUPSYNCH_BUDGET``, a positive integer, overrides the default enumeration
 budget.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import models as models_mod
 from .ensembles import EnsembleKind, sample
 from .errors import ConfigError, GroupsynchError, InvalidParameterError
 from .experiments import (_PRIORS, _ROUTES, KINDS, ExperimentConfig, _atomic_write,
-                          _ldlr_report, _model_from_name, run, write_csv)
+                          _ldlr_report, _load_json, run, write_csv)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -63,13 +63,22 @@ def _obs_to_json(obs: models_mod.SynchObservation) -> dict:
     }
 
 
-def _obs_from_json(data) -> models_mod.SynchObservation:
-    freqs = tuple(
-        models_mod.FrequencyObservation(
-            _matrix_from_json(f["matrix"]), f["snr"], f["dim"], f["type"], f["label"])
-        for f in data["freqs"])
-    return models_mod.SynchObservation(freqs, data["model"], data["n"],
-                                       data.get("seed"))
+def _obs_from_json(path) -> models_mod.SynchObservation:
+    """The observation ``simulate`` wrote to ``path``, or a ConfigError under ``in``."""
+    data = _load_json(path, "in")
+    try:
+        freqs = tuple(
+            models_mod.FrequencyObservation(
+                _matrix_from_json(f["matrix"]), f["snr"], f["dim"], f["type"], f["label"])
+            for f in data["freqs"])
+        obs = models_mod.SynchObservation(freqs, data["model"], data["n"], data.get("seed"))
+    except KeyError as exc:
+        raise ConfigError("in", f"observation has no {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("in", f"malformed observation: {exc}") from exc
+    if not isinstance(obs.model, str):
+        raise ConfigError("in", "observation 'model' must be a string")
+    return obs
 
 
 def _write_json(path, payload) -> None:
@@ -80,16 +89,14 @@ def _write_json(path, payload) -> None:
         _atomic_write(path, lambda fh: fh.write(text + "\n"))
 
 
+def _flag_model(args) -> models_mod.Model:
+    """The model that --model, --L and --group name."""
+    return models_mod.Model.from_name(args.group if args.model == "group" else args.model,
+                                      args.L)
+
+
 def _cmd_simulate(args) -> int:
-    model = _model_from_name(args.group if args.model == "group" else args.model,
-                             args.L, 0.0)
-    if model.kind == "circle":
-        obs = models_mod.sample_gsynch_circle(model.L, args.snr, args.n, args.seed)
-    elif model.kind == "cyclic":
-        obs = models_mod.sample_gsynch_cyclic(model.L, args.snr, args.n, args.seed)
-    else:
-        obs = models_mod.sample_gsynch_group(model.group, model.irreps, args.snr,
-                                             args.n, args.seed)
+    obs = models_mod._sample(_flag_model(args), args.snr, args.n, args.seed)
     _write_json(args.out, _obs_to_json(obs))
     return EXIT_OK
 
@@ -131,27 +138,13 @@ def _cmd_md_count(args) -> int:
     return EXIT_OK
 
 
-# Observation names the samplers write: circle(L=k), cyclic(L=k), group(<name>)
-_OBS_MODEL_RE = re.compile(r"^(circle|cyclic)\(L=(\d+)\)$|^group\((.+)\)$")
-
-
-def _null_model(obs_model: str) -> models_mod.Model:
-    """The pure-noise model of a stored observation, rebuilt from its name."""
-    m = _OBS_MODEL_RE.match(obs_model)
-    if m is None:
-        raise ConfigError("in", f"cannot rebuild a null model for {obs_model!r}")
-    name, L = (m.group(3), None) if m.group(3) else (m.group(1), int(m.group(2)))
-    try:
-        return _model_from_name(name, L, 0.0)
-    except InvalidParameterError as exc:
-        raise ConfigError("in", f"cannot rebuild a null model for {obs_model!r}: "
-                                f"{exc}") from exc
-
-
 def _cmd_detect(args) -> int:
-    with open(args.infile) as fh:
-        obs = _obs_from_json(json.load(fh))
-    model = _null_model(obs.model)
+    obs = _obs_from_json(args.infile)
+    try:
+        model = models_mod.Model.from_name(obs.model)      # the pure-noise model
+    except InvalidParameterError as exc:
+        raise ConfigError("in", f"cannot rebuild a null model for {obs.model!r}: "
+                                f"{exc}") from exc
     config = DetectorConfig(alpha=args.alpha,
                                        calibration_trials=args.calib_trials)
     threshold = calibrate_threshold(model, obs.n, config, seed=args.seed)
@@ -166,11 +159,9 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    model = _model_from_name(args.group if args.model == "group" else args.model,
-                             args.L, 0.0)
     config = DetectorConfig(alpha=args.alpha,
                                        calibration_trials=args.calib_trials)
-    rows = power_curve(model, args.n, _parse_grid(args.snr_grid),
+    rows = power_curve(_flag_model(args), args.n, args.snr_grid,
                                   args.trials, config, seed=args.seed)
     if args.out and args.out.endswith(".csv"):
         write_csv(args.out, rows)
@@ -179,12 +170,27 @@ def _cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str):
-    if ":" in spec:
+def _snr_grid(spec: str) -> list:
+    """argparse type of --lambda-grid: a:b:step with step > 0, or comma-separated values."""
+    try:
+        if ":" not in spec:
+            return [float(x) for x in spec.split(",")]
         a, b, step = (float(x) for x in spec.split(":"))
-        return [round(a + i * step, 12) for i in range(int((b - a) / step + 1.5))
+        if not step > 0:
+            raise argparse.ArgumentTypeError(f"step must be > 0 in {spec!r}")
+        grid = [round(a + i * step, 12) for i in range(int((b - a) / step + 1.5))
                 if a + i * step <= b + 1e-12]
-    return [float(x) for x in spec.split(",")]
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a:b:step or comma-separated numbers: "
+                                         f"{spec!r}") from None
+    if not grid:
+        raise argparse.ArgumentTypeError(f"empty range {spec!r}")
+    return grid
+
+
+def _int_grid(spec: str) -> list:
+    """argparse type of --L-grid: comma-separated integers (argparse reports a ValueError)."""
+    return [int(x) for x in spec.split(",")]
 
 
 def _cmd_bounds(args) -> int:
@@ -242,8 +248,7 @@ def _cmd_phase_diagram(args) -> int:
     cfg = ExperimentConfig.from_dict({
         "kind": "phase-diagram",
         "seed": args.seed,
-        "params": {"L_grid": [int(x) for x in args.L_grid.split(",")],
-                   "snr_grid": _parse_grid(args.snr_grid),
+        "params": {"L_grid": args.L_grid, "snr_grid": args.snr_grid,
                    "n": args.n, "trials": args.trials},
         "out": {"csv": args.out, "manifest": args.manifest},
     })
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=1)
     p.add_argument("--group", default="dihedral(3)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda-grid", dest="snr_grid", required=True,
+    p.add_argument("--lambda-grid", dest="snr_grid", type=_snr_grid, required=True,
                    help="a:b:step or comma-separated values")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -349,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("phase-diagram", help="emit phase-boundary markers and LDLR values")
-    p.add_argument("--L-grid", default="3,5,7,9,11,13")
-    p.add_argument("--lambda-grid", dest="snr_grid", default="0.6:1.2:0.2")
+    p.add_argument("--L-grid", type=_int_grid, default="3,5,7,9,11,13")
+    p.add_argument("--lambda-grid", dest="snr_grid", type=_snr_grid, default="0.6:1.2:0.2")
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)

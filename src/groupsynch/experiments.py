@@ -152,8 +152,11 @@ class ExperimentConfig:
         if "seed" not in data:
             raise ConfigError("seed", "is required")
         seed = data["seed"]
-        if not isinstance(seed, int):
+        if not _integer(seed):
             raise ConfigError("seed", "must be an integer")
+        for key in ("params", "budgets", "out"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ConfigError(key, "must be a JSON object")
         params = dict(_DEFAULT_PARAMS[kind])
         params.update(data.get("params", {}))
         budgets = {"enumeration": ldlr_mod.DEFAULT_BUDGET}
@@ -166,8 +169,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig.from_dict(_load_json(path, "config"))
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -240,6 +242,17 @@ def _atomic_write(path, write) -> None:
             os.remove(tmp)
 
 
+def _load_json(path, field: str):
+    """The JSON document at ``path``, or a ConfigError under ``field``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot read {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:       # not JSON, or not UTF-8 text
+        raise ConfigError(field, f"{path!r} is not JSON: {exc}") from exc
+
+
 def write_csv(path, rows, columns=None) -> None:
     """Atomic RFC-4180 CSV write with a deterministic column order."""
     if columns is None:
@@ -307,8 +320,8 @@ def _ldlr_report(method, prior, L, n, snr, D, *, exact, statistic, samples, seed
     if method == "md":
         return ldlr_mod.ldlr_from_md(prior, L, n, snr, D, exact=exact,
                                      budget=budgets.get("md", ldlr_mod.MD_BUDGET))
-    return ldlr_mod.ldlr_montecarlo_overlap(_model_from_name(prior, L, snr), n, D, samples,
-                                            seed=seed)
+    return ldlr_mod.ldlr_montecarlo_overlap(models_mod.Model.from_name(prior, L, snr), n, D,
+                                            samples, seed=seed)
 
 
 def _run_ldlr_sweep(cfg: ExperimentConfig):
@@ -333,17 +346,9 @@ def _run_ldlr_sweep(cfg: ExperimentConfig):
 
 def _run_power_sweep(cfg: ExperimentConfig):
     p = cfg.params
-    model = _model_from_name(p["model"], p["L"], 0.0)
+    model = models_mod.Model.from_name(p["model"], p["L"])
     config = DetectorConfig(alpha=p["alpha"], calibration_trials=p["calibration_trials"])
     return power_curve(model, p["n"], p["snr_grid"], p["trials"], config, seed=cfg.seed)
-
-
-def _model_from_name(name: str, L: int, snr: float) -> models_mod.Model:
-    if name in ("circle", "cyclic"):
-        return models_mod.Model(name, L=L, snr=snr)
-    group, full = build_catalog(name)
-    return models_mod.Model("group", snr=snr, group=group,
-                            irreps=full.nonredundant())
 
 
 def _run_oracle_suite(cfg: ExperimentConfig):
@@ -468,7 +473,7 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
 
     for L in (3, 4):
         via_cyclic = models_mod.sample_gsynch_cyclic(L, snr, n, seed=cfg.seed)
-        gm = models_mod.cyclic_group_model(L, snr)
+        gm = models_mod.Model.from_name(f"group(cyclic({L}))", snr=snr)
         via_group = gm.sample(n, seed=cfg.seed)
         null_c = models_mod.sample_gsynch_cyclic(L, 0.0, n, seed=cfg.seed)
         null_g = gm.null().sample(n, seed=cfg.seed)

@@ -14,14 +14,19 @@ Three observation families share one container type:
     noise ensemble matches the irrep type (real -> GOE, complex -> GUE,
     quaternionic -> GSE) and d is the irrep's model dimension.
 
-Every sampler draws its signal as :func:`sample_signal` does from the same
-seed.  A second observation family gives, for every ordered pair (k, j), a noisy
+:class:`Model` names the three: its ``name`` is circle(L=k), cyclic(L=k) or
+group(<group name>), every observation records it, and ``Model.from_name``
+is the one reader of it.  Every sampler draws its signal as
+:func:`sample_signal` does from the same seed and hands its channels to one
+loop, ``_observe``, where channel i takes noise stream i + 1.  A second
+observation family gives, for every ordered pair (k, j), a noisy
 score table over group elements with a planted bump at the true relative
 element; :func:`indicator_to_canonical` changes basis with the regular
 representation and recovers the per-irrep observations above.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +34,7 @@ import numpy as np
 from . import ensembles
 from .eigen import _single_thread_blas, _tiles
 from .errors import InvalidParameterError
-from .groups import FiniteGroup, Irrep, IrrepList, build_cyclic, regular_rep_unitary
+from .groups import FiniteGroup, Irrep, IrrepList, build_catalog, regular_rep_unitary
 from .rng import make_rng
 
 __all__ = [
@@ -172,18 +177,23 @@ def _channel(x: np.ndarray, lam: float, d: int, type_tag: str, rng,
     return FrequencyObservation(y, float(lam), d, type_tag, label)
 
 
+def _observe(model: "Model", channels: list, snr, n: int, seed) -> SynchObservation:
+    """``model``'s observation, one :func:`_channel` per (x, d, type_tag, label), at one
+    snr or one per channel.  Noise streams are 1-based so that the cyclic-prior sampler
+    and the group sampler over the same cyclic group share noise draws."""
+    lam = _snr_list(snr, len(channels))
+    freqs = tuple(_channel(x, lam[i], d, type_tag, make_rng(seed, _NOISE_STREAM, i + 1), label)
+                  for i, (x, d, type_tag, label) in enumerate(channels))
+    return SynchObservation(freqs, model.name, n, seed)
+
+
 @_single_thread_blas()
 def sample_gsynch_circle(L: int, snr, n: int, seed=None) -> SynchObservation:
     """Circle-prior observation with ``L`` frequency channels, all complex."""
-    if L < 1:
-        raise InvalidParameterError("need at least one frequency")
-    lam = _snr_list(snr, L)
+    model = Model("circle", L=L)
     phases = np.angle(sample_signal("circle", n, seed).values)
-    freqs = tuple(
-        _channel(np.exp(1j * ell * phases).reshape(-1, 1), lam[ell - 1], 1, "complex",
-                 make_rng(seed, _NOISE_STREAM, ell), f"freq-{ell}")
-        for ell in range(1, L + 1))
-    return SynchObservation(freqs, f"circle(L={L})", n, seed)
+    return _observe(model, [(np.exp(1j * ell * phases).reshape(-1, 1), 1, "complex",
+                             f"freq-{ell}") for ell in range(1, L + 1)], snr, n, seed)
 
 
 @_single_thread_blas()
@@ -194,18 +204,12 @@ def sample_gsynch_cyclic(L: int, snr, n: int, seed=None) -> SynchObservation:
     and one frequency per conjugate pair is kept, which leaves floor(L/2)
     channels with the top one real for even L.
     """
-    if L < 2:
-        raise InvalidParameterError("cyclic prior needs L >= 2")
-    nfreq = L // 2
-    lam = _snr_list(snr, nfreq)
+    model = Model("cyclic", L=L)
     u = sample_signal(("cyclic", L), n, seed).values
     roots = np.exp(2j * np.pi * np.arange(L) / L)
-    freqs = tuple(
-        _channel(roots[(ell * u) % L].reshape(-1, 1), lam[ell - 1], 1,
-                 "real" if (2 * ell) % L == 0 else "complex",
-                 make_rng(seed, _NOISE_STREAM, ell), f"freq-{ell}")
-        for ell in range(1, nfreq + 1))
-    return SynchObservation(freqs, f"cyclic(L={L})", n, seed)
+    return _observe(model, [(roots[(ell * u) % L].reshape(-1, 1), 1,
+                             "real" if (2 * ell) % L == 0 else "complex", f"freq-{ell}")
+                            for ell in range(1, L // 2 + 1)], snr, n, seed)
 
 
 def _irrep_stack(irrep: Irrep, u: np.ndarray) -> np.ndarray:
@@ -218,24 +222,29 @@ def _irrep_stack(irrep: Irrep, u: np.ndarray) -> np.ndarray:
 def sample_gsynch_group(group: FiniteGroup, irreps: IrrepList, snr, n: int,
                         seed=None) -> SynchObservation:
     """Observation per irrep in a nonredundant list, noise matched to type."""
-    if irreps.mode != "nonredundant":
-        raise InvalidParameterError("sampler expects a nonredundant irrep list")
-    lam = _snr_list(snr, len(irreps))
+    model = Model("group", group=group, irreps=irreps)
     u = sample_signal(("haar", group), n, seed).values
-    if any(irrep.matrices.shape[0] != group.order for irrep in irreps):
-        raise InvalidParameterError("irrep size does not match group order")
-    # channel streams are 1-based so that the cyclic-prior sampler and
-    # the group sampler over the same cyclic group share noise draws
-    freqs = tuple(
-        _channel(_irrep_stack(irrep, u), lam[idx], irrep.model_dim, irrep.type_tag,
-                 make_rng(seed, _NOISE_STREAM, idx + 1), irrep.name or f"irrep-{idx}")
-        for idx, irrep in enumerate(irreps))
-    return SynchObservation(freqs, f"group({group.name})", n, seed)
+    return _observe(model, [(_irrep_stack(irrep, u), irrep.model_dim, irrep.type_tag,
+                             irrep.name or f"irrep-{idx}") for idx, irrep in enumerate(irreps)],
+                    snr, n, seed)
+
+
+def _sample(model: "Model", snr, n: int, seed) -> SynchObservation:
+    """Draw ``model``'s observation at ``snr``, one value or one per channel."""
+    if model.kind == "circle":
+        return sample_gsynch_circle(model.L, snr, n, seed)
+    if model.kind == "cyclic":
+        return sample_gsynch_cyclic(model.L, snr, n, seed)
+    return sample_gsynch_group(model.group, model.irreps, snr, n, seed)
 
 
 # ---------------------------------------------------------------------------
 # Model specification used by detection and experiment sweeps
 # ---------------------------------------------------------------------------
+
+# Model.name's forms, and a bare circle or cyclic, the flag form that takes L apart
+_NAME_RE = re.compile(r"(circle|cyclic)(?:\(L=(\d+)\))?|group\((.+)\)")
+
 
 @dataclass(frozen=True)
 class Model:
@@ -267,6 +276,25 @@ class Model:
                 raise InvalidParameterError("group model needs a group")
             if self.irreps is None:
                 raise InvalidParameterError("group model needs an irrep list")
+            if self.irreps.mode != "nonredundant":
+                raise InvalidParameterError("group model needs a nonredundant irrep list")
+            if any(irrep.matrices.shape[0] != self.group.order for irrep in self.irreps):
+                raise InvalidParameterError("irrep size does not match group order")
+
+    @classmethod
+    def from_name(cls, name: str, L: int = None, snr: float = 0.0) -> "Model":
+        """The model :attr:`name` calls ``name``, at ``snr``; also the flag form, a bare
+        "circle" or "cyclic" (the only names that read ``L``) or a catalog group name."""
+        m = _NAME_RE.fullmatch(name)
+        if m is None or m.group(3) is not None:
+            group, full = build_catalog(name if m is None else m.group(3))
+            return cls("group", snr=snr, group=group, irreps=full.nonredundant())
+        return cls(m.group(1), L=L if m.group(2) is None else int(m.group(2)), snr=snr)
+
+    @property
+    def name(self) -> str:
+        """circle(L=k), cyclic(L=k) or group(<group name>): what an observation records."""
+        return f"group({self.group.name})" if self.kind == "group" else f"{self.kind}(L={self.L})"
 
     def with_snr(self, snr: float) -> "Model":
         return Model(self.kind, self.L, float(snr), self.group, self.irreps)
@@ -275,24 +303,10 @@ class Model:
         return self.with_snr(0.0)
 
     def sample(self, n: int, seed=None) -> SynchObservation:
-        if self.kind == "circle":
-            return sample_gsynch_circle(self.L, self.snr, n, seed)
-        if self.kind == "cyclic":
-            return sample_gsynch_cyclic(self.L, self.snr, n, seed)
-        return sample_gsynch_group(self.group, self.irreps, self.snr, n, seed)
+        return _sample(self, self.snr, n, seed)
 
     def describe(self) -> str:
-        base = {"circle": f"circle(L={self.L})",
-                "cyclic": f"cyclic(L={self.L})"}.get(self.kind)
-        if base is None:
-            base = f"group({self.group.name})"
-        return f"{base},snr={self.snr}"
-
-
-def cyclic_group_model(L: int, snr: float) -> Model:
-    """Cyclic model expressed through the general group sampler (for cross-checks)."""
-    group, full = build_cyclic(L)
-    return Model("group", L=None, snr=snr, group=group, irreps=full.nonredundant())
+        return f"{self.name},snr={self.snr}"
 
 
 # ---------------------------------------------------------------------------

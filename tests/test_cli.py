@@ -67,6 +67,22 @@ def test_detect_rejects_unrebuildable_models(tmp_path, capsys, model):
     assert "cannot rebuild a null model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ("{not json", "is not JSON"),
+    ('{"model": "cyclic(L=3)", "n": 6}', "observation has no 'freqs'"),
+    ('{"model": "cyclic(L=3)", "n": 6, "freqs": 3}', "malformed observation"),
+    ('{"model": 3, "n": 6, "freqs": []}', "'model' must be a string"),
+])
+def test_detect_refuses_unreadable_observations(tmp_path, capsys, content, message):
+    obs_path = tmp_path / "obs.json"
+    if content is not None:
+        obs_path.write_text(content)
+    assert main(["detect", "--in", str(obs_path), "--calib-trials", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: in: ") and message in err
+
+
 def test_simulate_group_model(tmp_path):
     obs_path = tmp_path / "obs.json"
     assert main(["simulate", "--model", "group", "--group", "dihedral(3)",
@@ -159,6 +175,39 @@ def test_bad_scalars_and_clt_grids_exit_2_before_any_row(tmp_path, monkeypatch, 
     path.write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
     assert main(["suite", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_suite_config_file_missing_or_not_json_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["suite", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config: ")
+
+
+_POWER = ["power", "--model", "circle", "--n", "20", "--trials", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--out", "x.csv", "--lambda-grid", "0.6:1.2:0"],
+    [*_POWER, "--lambda-grid", "1:2:0"],
+    [*_POWER, "--lambda-grid", "1:2:-0.5"],
+    ["phase-diagram", "--out", "x.csv", "--lambda-grid", "a,b"],
+    [*_POWER, "--lambda-grid", "a,b"],
+    [*_POWER, "--lambda-grid", "1:2"],
+    ["phase-diagram", "--out", "x.csv", "--L-grid", "3,x"],
+    ["phase-diagram", "--out", "x.csv", "--lambda-grid", "1:0.5:0.1"],
+    [*_POWER, "--lambda-grid", "1:0.5:0.1"],
+])
+def test_bad_grids_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a.endswith("-grid"))
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_phase_diagram_cli(tmp_path):

@@ -57,6 +57,10 @@ def test_config_bad_budget():
     ({"params": {"prior": "circle", "methods": ["md", "exact"]}}, "params.methods"),
     ({"params": {"prior": "foo"}}, "params.prior"),
     ({"params": {"prior": "circle", "methods": ["brute"]}}, "params.methods"),
+    ({"seed": True}, "seed"),          # a bool would hash apart from the integer 1
+    ({"params": [2, 3]}, "params"),
+    ({"budgets": 10}, "budgets"),
+    ({"out": "sweep.csv"}, "out"),
 ])
 def test_config_typos_name_the_field(data, field):
     with pytest.raises(ConfigError) as exc:

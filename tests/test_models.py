@@ -8,7 +8,7 @@ from scipy import stats
 from groupsynch.errors import InvalidParameterError
 from groupsynch.groups import (build_catalog, build_cyclic, build_quaternion8,
                                regular_rep_unitary)
-from groupsynch.models import (Model, cyclic_group_model, indicator_to_canonical,
+from groupsynch.models import (Model, indicator_to_canonical,
                                sample_gsynch_circle, sample_gsynch_cyclic,
                                sample_gsynch_group, sample_indicator,
                                sample_signal)
@@ -100,7 +100,7 @@ def test_frequency_count_floor_l_over_2():
 def test_group_sampler_matches_cyclic_bitwise():
     for L in (3, 4, 5):
         via_cyclic = sample_gsynch_cyclic(L, 0.8, 15, seed=11)
-        via_group = cyclic_group_model(L, 0.8).sample(15, seed=11)
+        via_group = Model.from_name(f"group(cyclic({L}))", snr=0.8).sample(15, seed=11)
         assert len(via_cyclic.freqs) == len(via_group.freqs)
         for a, b in zip(via_cyclic.freqs, via_group.freqs):
             assert np.array_equal(np.asarray(a.matrix, dtype=complex),
@@ -495,6 +495,66 @@ def test_model_wrapper():
         Model("cyclic", L=1)
     with pytest.raises(InvalidParameterError):
         Model("group")
+
+
+def _catalog_model(name, snr=0.0):
+    group, full = build_catalog(name)
+    return Model("group", snr=snr, group=group, irreps=full.nonredundant())
+
+
+def _assert_same_model(a, b):
+    assert (a.kind, a.L, a.snr, a.name) == (b.kind, b.L, b.snr, b.name)
+    if a.kind == "group":
+        assert np.array_equal(a.group.mul, b.group.mul)
+        assert [r.name for r in a.irreps] == [r.name for r in b.irreps]
+        for r, q in zip(a.irreps, b.irreps):
+            assert np.array_equal(r.matrices, q.matrices)
+
+
+@pytest.mark.parametrize("model", [
+    *(Model("circle", L=L) for L in (1, 2, 3)),
+    *(Model("cyclic", L=L, snr=0.4) for L in range(2, 7)),
+    *(_catalog_model(name) for name in ("cyclic(5)", "dihedral(3)", "dihedral(4)",
+                                        "quaternion8")),
+], ids=lambda m: m.name)
+def test_from_name_inverts_name(model):
+    _assert_same_model(Model.from_name(model.name, snr=model.snr), model)
+
+
+def test_from_name_reads_the_flag_form():
+    assert Model.from_name("circle", 3) == Model("circle", L=3)
+    assert Model.from_name("cyclic", 4, 0.5) == Model("cyclic", L=4, snr=0.5)
+    assert Model.from_name("cyclic(L=4)", 7) == Model("cyclic", L=4)   # only bare kinds read L
+    _assert_same_model(Model.from_name("dihedral(3)", 2), _catalog_model("dihedral(3)"))
+    for name in ("cyclic", "circle(L=0)", "group(klein4)", "indicator->dihedral(3)",
+                 "cyclic(L=2),snr=0.0"):
+        with pytest.raises(InvalidParameterError):
+            Model.from_name(name)
+
+
+def test_samplers_record_the_model_name():
+    group, full = build_catalog("quaternion8")
+    cases = [(Model("circle", L=2, snr=0.5), sample_gsynch_circle(2, 0.5, 4, seed=1),
+              "circle(L=2),snr=0.5"),
+             (Model("cyclic", L=5, snr=0.9), sample_gsynch_cyclic(5, 0.9, 4, seed=1),
+              "cyclic(L=5),snr=0.9"),
+             (_catalog_model("quaternion8", 0.7),
+              sample_gsynch_group(group, full.nonredundant(), 0.7, 4, seed=1),
+              "group(quaternion8),snr=0.7")]
+    for model, obs, described in cases:
+        assert obs.model == model.name == model.sample(4, seed=1).model
+        assert model.describe() == described
+
+
+def test_group_model_checks_its_irrep_list():
+    group, full = build_cyclic(4)
+    with pytest.raises(InvalidParameterError):
+        Model("group", group=group, irreps=full)          # a full list
+    _, other = build_cyclic(3)
+    with pytest.raises(InvalidParameterError):
+        Model("group", group=group, irreps=other.nonredundant())   # one matrix per element of C3
+    with pytest.raises(InvalidParameterError):
+        sample_gsynch_group(group, other.nonredundant(), 1.0, 5, seed=0)
 
 
 @pytest.mark.parametrize("snr", [np.nan, -0.9, np.inf])
