@@ -27,7 +27,7 @@ from . import models as models_mod
 from .ensembles import EnsembleKind, sample
 from .errors import ConfigError, GroupsynchError, InvalidParameterError
 from .experiments import (_PRIORS, _ROUTES, KINDS, ExperimentConfig, _atomic_write,
-                          _ldlr_report, _load_json, run, write_csv)
+                          _integer, _ldlr_report, _load_json, run, write_csv)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -78,6 +78,13 @@ def _obs_from_json(path) -> models_mod.SynchObservation:
         raise ConfigError("in", f"malformed observation: {exc}") from exc
     if not isinstance(obs.model, str):
         raise ConfigError("in", "observation 'model' must be a string")
+    if not _integer(obs.n) or obs.n < 1:
+        raise ConfigError("in", "observation 'n' must be an integer >= 1")
+    for f in obs.freqs:     # the order models._channel builds: n dim, doubled for GSE
+        order = obs.n * f.dim * (2 if f.type_tag == "quaternionic" else 1)
+        if f.matrix.shape != (order, order):
+            raise ConfigError("in", f"channel {f.label!r} is {f.matrix.shape}, not the "
+                                    f"{order} x {order} that n = {obs.n} and dim = {f.dim} give")
     return obs
 
 
@@ -130,9 +137,7 @@ def _cmd_ldlr(args) -> int:
 
 
 def _cmd_md_count(args) -> int:
-    budget = _budget(ldlr_mod.MD_BUDGET)
-    counts = [ldlr_mod.md_count(args.prior, args.L, args.n, d, budget)
-              for d in range(args.D + 1)]
+    counts = ldlr_mod._md_counts(args.prior, args.L, args.n, args.D, _budget(ldlr_mod.MD_BUDGET))
     _write_json(args.out, {"prior": args.prior, "L": args.L, "n": args.n,
                            "counts": counts})
     return EXIT_OK

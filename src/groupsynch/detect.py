@@ -58,6 +58,11 @@ def max_top_eigenvalue(obs: SynchObservation, tol: float = 1e-8):
     return max(vals), vals
 
 
+def _max_stats(model: Model, n: int, seeds, tol: float) -> np.ndarray:
+    """The max-over-channels top eigenvalue of one draw of ``model`` per seed."""
+    return np.array([max_top_eigenvalue(model.sample(n, s), tol)[0] for s in seeds])
+
+
 def calibrate_threshold(model: Model, n: int, config: DetectorConfig,
                         seed=None) -> float:
     """(1 - alpha) empirical quantile of the null max-eigenvalue statistic.
@@ -66,10 +71,8 @@ def calibrate_threshold(model: Model, n: int, config: DetectorConfig,
     so small calibration samples err on the side of fewer false alarms.
     At alpha -> 1 this degrades to the sample minimum.
     """
-    null = model.null()
-    stats = np.empty(config.calibration_trials)
-    for t, s in enumerate(spawn_seeds(seed, config.calibration_trials)):
-        stats[t] = max_top_eigenvalue(null.sample(n, s), config.eigen_tol)[0]
+    stats = _max_stats(model.null(), n, spawn_seeds(seed, config.calibration_trials),
+                       config.eigen_tol)
     return float(np.quantile(stats, 1.0 - config.alpha, method="higher"))
 
 
@@ -106,16 +109,15 @@ def power_curve(model: Model, n: int, snr_grid, trials: int,
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     threshold = calibrate_threshold(model, n, config, seed=seed)
-    rejections = sum(
-        detect(model.null().sample(n, s), threshold, config.eigen_tol).label == "p"
-        for s in spawn_seeds(seed, trials, stream=1))
-    type1 = rejections / trials
+
+    def rejections(m: Model, stream: int) -> int:
+        stats = _max_stats(m, n, spawn_seeds(seed, trials, stream=stream), config.eigen_tol)
+        return int((stats > threshold).sum())
+
+    type1 = rejections(model.null(), 1) / trials
     rows = []
     for gi, lam in enumerate(snr_grid):
-        planted = model.with_snr(float(lam))
-        seeds = spawn_seeds(seed, trials, stream=2 + gi)
-        hits = sum(detect(planted.sample(n, s), threshold, config.eigen_tol).label == "p"
-                   for s in seeds)
+        hits = rejections(model.with_snr(float(lam)), 2 + gi)
         lo, hi = wilson_interval(hits, trials)
         rows.append({"snr": float(lam), "power": hits / trials,
                      "power_lo": lo, "power_hi": hi,

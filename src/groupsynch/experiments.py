@@ -196,6 +196,13 @@ class ExperimentConfig:
             raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
             _check_route(method, self.params["prior"], None, False, "params.methods")
+        if self.kind == "power-sweep":     # L is read only by a bare circle or cyclic
+            model, L = self.params["model"], self.params["L"]
+            try:
+                models_mod.Model.from_name(model, L)
+            except (InvalidParameterError, TypeError) as exc:
+                raise ConfigError("params.L" if model in ("circle", "cyclic") else "params.model",
+                                  str(exc)) from exc
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": self.params,
@@ -364,18 +371,15 @@ def _run_oracle_suite(cfg: ExperimentConfig):
         rows.append({"check": "exact-vs-bruteforce", "L": L, "n": n, "snr": snr,
                      "D": D, "diff": float(diff), "pass": diff == 0})
 
+    md_budget = cfg.budgets.get("md", ldlr_mod.MD_BUDGET)
     for L, n in p["md_instances"]:
-        md_budget = cfg.budgets.get("md", ldlr_mod.MD_BUDGET)
-        md = ldlr_mod.ldlr_from_md("cyclic", L, n, snr, D, exact=True,
-                                   budget=md_budget)
+        circle, cyclic = (ldlr_mod._md_counts(prior, L, n, D, md_budget)
+                          for prior in ("circle", "cyclic"))
         mn = ldlr_mod.ldlr_exact_multinomial(L, n, snr, D, exact=True,
                                              statistic="all_frequencies",
                                              budget=budget)
-        diff = max(abs(x - y) for x, y in zip(md.terms, mn.terms))
-        circle = [ldlr_mod.md_count("circle", L, n, d, md_budget)
-                  for d in range(D + 1)]
-        cyclic = [ldlr_mod.md_count("cyclic", L, n, d, md_budget)
-                  for d in range(D + 1)]
+        md_terms = ldlr_mod._terms(cyclic, snr, n, True)
+        diff = max(abs(x - y) for x, y in zip(md_terms, mn.terms))
         contain = all(c <= z for c, z in zip(circle, cyclic))
         rows.append({"check": "md-vs-multinomial", "L": L, "n": n, "snr": snr,
                      "D": D, "diff": float(diff), "pass": diff == 0 and contain})

@@ -33,7 +33,10 @@ Routes:
     occupancy law);
   * :func:`ldlr_from_md` counts zero-sum index tuples, which fixes the
     moments of the ``all_frequencies`` statistic without touching the
-    multinomial law (and is the exact route for the circle prior);
+    multinomial law (and is the exact route for the circle prior).  One walk
+    in plain integer tuples adds the distinct moves, with multiplicities, to
+    a tally of partial sums and closes every degree by joining the partial
+    sums one degree lower with the moves that cancel them;
   * :func:`ldlr_montecarlo_overlap` averages the overlap series over
     sampled signals, drawn in fixed-size chunks for finite priors, and
     reports the standard error of each mean.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,6 +336,29 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
 MD_BUDGET = 10 ** 8
 
 
+def _md_counts(prior: str, L: int, n: int, D: int, budget: int) -> list:
+    """:func:`md_count` at every degree 0..D, from one walk over the distinct moves."""
+    if prior not in ("circle", "cyclic"):
+        raise InvalidParameterError(f"unknown prior {prior!r}")
+    if L < 1 or n < 1 or D < 0:
+        raise InvalidParameterError("need L >= 1, n >= 1, d >= 0")
+    if (L * n * n) ** D > budget:
+        raise ResourceLimitError(
+            f"(L n^2)^d = {(L * n * n) ** D} exceeds the budget of {budget}")
+    reduce = (lambda v: tuple(x % L for x in v)) if prior == "cyclic" else tuple
+    moves = Counter(reduce(ell * ((i == a) - (i == b)) for i in range(n))   # l (e_a - e_b)
+                    for ell in range(1, L + 1) for a in range(n) for b in range(n))
+    partial, counts = Counter({(0,) * n: 1}), [1]     # the partial sums of degree d - 1
+    for d in range(1, D + 1):
+        counts.append(sum(c * moves[reduce(-x for x in v)] for v, c in partial.items()))
+        if d < D:
+            walked = Counter()
+            for (v, c), (mv, m) in itertools.product(partial.items(), moves.items()):
+                walked[reduce(map(operator.add, v, mv))] += c * m
+            partial = walked
+    return counts
+
+
 def md_count(prior: str, L: int, n: int, d: int, budget: int = MD_BUDGET) -> int:
     """Number of tuples (l, a, b) in [L]^d x [n]^d x [n]^d whose signed
     index sum sum_j l_j (e_{a_j} - e_{b_j}) vanishes.
@@ -340,56 +367,13 @@ def md_count(prior: str, L: int, n: int, d: int, budget: int = MD_BUDGET) -> int
     tests zero mod L.  Every exact zero is a zero mod L, so the circle count
     never exceeds the cyclic count.
 
-    The enumeration is exhaustive over the (L n^2)^d tuples but walks them
-    one position at a time, merging equal partial sums, so memory stays
-    proportional to the number of distinct partial sums rather than to the
-    tuple count.  The final position is resolved by joining each degree
-    d-1 partial sum with the moves that cancel it.
+    Exhaustive over the (L n^2)^d tuples, which ``budget`` caps, but each
+    distinct move l (e_a - e_b) (mod L on the cyclic prior) is taken once
+    with its multiplicity.  One walk tallies the distinct partial sums, as
+    integer tuples, and closes every degree k <= d by joining the degree
+    k-1 partial sums with the moves that cancel them.
     """
-    if prior not in ("circle", "cyclic"):
-        raise InvalidParameterError(f"unknown prior {prior!r}")
-    if L < 1 or n < 1 or d < 0:
-        raise InvalidParameterError("need L >= 1, n >= 1, d >= 0")
-    if (L * n * n) ** d > budget:
-        raise ResourceLimitError(
-            f"(L n^2)^d = {(L * n * n) ** d} exceeds the budget of {budget}")
-    if d == 0:
-        return 1
-
-    def reduce(vec: np.ndarray) -> bytes:
-        return (np.mod(vec, L) if prior == "cyclic" else vec).tobytes()
-
-    moves = []
-    for ell in range(1, L + 1):
-        for a in range(n):
-            for b in range(n):
-                v = np.zeros(n, dtype=np.int64)
-                v[a] += ell
-                v[b] -= ell
-                moves.append(v)
-    move_counts: dict = {}
-    for v in moves:
-        key = reduce(v)
-        move_counts[key] = move_counts.get(key, 0) + 1
-
-    partial = {reduce(np.zeros(n, dtype=np.int64)): (1, np.zeros(n, dtype=np.int64))}
-    for _ in range(d - 1):
-        nxt: dict = {}
-        for _, (count, vec) in partial.items():
-            for mv in moves:
-                s = vec + mv
-                key = reduce(s)
-                if key in nxt:
-                    nxt[key] = (nxt[key][0] + count, nxt[key][1])
-                else:
-                    nxt[key] = (count, s)
-        partial = nxt
-
-    total = 0
-    for _, (count, vec) in partial.items():
-        key = reduce(-vec)
-        total += count * move_counts.get(key, 0)
-    return total
+    return _md_counts(prior, L, n, d, budget)[d]
 
 
 def ldlr_from_md(prior: str, L: int, n: int, lam, D: int, exact: bool = False,
@@ -401,10 +385,10 @@ def ldlr_from_md(prior: str, L: int, n: int, lam, D: int, exact: bool = False,
     prior it equals the ``all_frequencies`` multinomial route, term by term.
     """
     _check_route_args(L, n, lam, D, min_L=1)
-    counts = [md_count(prior, L, n, d, budget) for d in range(D + 1)]
     params = {"L": L, "n": n, "lam": float(lam), "D": D, "prior": prior,
               "statistic": "all_frequencies"}
-    return LdlrReport(_terms(counts, lam, n, exact), "md-count", params)
+    return LdlrReport(_terms(_md_counts(prior, L, n, D, budget), lam, n, exact),
+                      "md-count", params)
 
 
 # ---------------------------------------------------------------------------

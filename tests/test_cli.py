@@ -73,6 +73,10 @@ def test_detect_rejects_unrebuildable_models(tmp_path, capsys, model):
     ('{"model": "cyclic(L=3)", "n": 6}', "observation has no 'freqs'"),
     ('{"model": "cyclic(L=3)", "n": 6, "freqs": 3}', "malformed observation"),
     ('{"model": 3, "n": 6, "freqs": []}', "'model' must be a string"),
+    ('{"model": "cyclic(L=3)", "n": 4.0, "freqs": []}', "'n' must be an integer >= 1"),
+    ('{"model": "cyclic(L=3)", "n": 3, "freqs": [{"label": "k=1", "snr": 1.0, "dim": 1, '
+     '"type": "complex", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}',
+     "channel 'k=1' is (2, 2), not the 3 x 3"),
 ])
 def test_detect_refuses_unreadable_observations(tmp_path, capsys, content, message):
     obs_path = tmp_path / "obs.json"
@@ -120,6 +124,15 @@ def test_md_count_cli(tmp_path, capsys):
                  "--D", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["counts"] == [1, 6, 48]
+
+
+def test_md_count_cli_refuses_the_top_degree_before_any_move(monkeypatch, capsys):
+    def no_moves(*args):
+        raise AssertionError("a move was built before the budget was checked")
+    monkeypatch.setattr(ldlr, "Counter", no_moves)
+    monkeypatch.setenv("GROUPSYNCH_BUDGET", str(18 ** 3 - 1))     # fits (L n^2)^2 = 324
+    assert main(["md-count", "--prior", "cyclic", "--L", "2", "--n", "3", "--D", "3"]) == 1
+    assert "exceeds the budget of 5831" in capsys.readouterr().err
 
 
 def test_bounds_cli(capsys):
@@ -251,8 +264,9 @@ def test_ldlr_cli_rejects_circle_for_count_routes():
 
 
 @pytest.mark.parametrize("argv, field, route", [
-    (["--method", "md", "--statistic", "pearson"], "statistic", "md_count"),
-    (["--method", "md", "--prior", "circle", "--statistic", "pearson"], "statistic", "md_count"),
+    (["--method", "md", "--statistic", "pearson"], "statistic", "_md_counts"),
+    (["--method", "md", "--prior", "circle", "--statistic", "pearson"], "statistic",
+     "_md_counts"),
     (["--method", "mc", "--statistic", "all_frequencies"], "statistic", "sample_overlaps"),
     (["--method", "mc", "--prior", "circle", "--statistic", "pearson"], "statistic",
      "sample_overlaps"),

@@ -61,6 +61,8 @@ def test_config_bad_budget():
     ({"params": [2, 3]}, "params"),
     ({"budgets": 10}, "budgets"),
     ({"out": "sweep.csv"}, "out"),
+    ({"kind": "power-sweep", "params": {"model": "klein4"}}, "params.model"),
+    ({"kind": "power-sweep", "params": {"model": "cyclic", "L": 1}}, "params.L"),
 ])
 def test_config_typos_name_the_field(data, field):
     with pytest.raises(ConfigError) as exc:

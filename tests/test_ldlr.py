@@ -439,9 +439,25 @@ def test_md_count_matches_naive_enumeration():
             count += ok
         return count
 
-    for prior in ("circle", "cyclic"):
-        for L, n, d in ((2, 2, 3), (3, 2, 2), (4, 3, 2)):
-            assert md_count(prior, L, n, d) == naive(prior, L, n, d)
+    shapes = [(prior, L, n, d) for prior in ("circle", "cyclic")
+              for L, n, d in ((2, 2, 3), (3, 2, 2), (4, 3, 2))]
+    for prior, L, n, d in shapes + [("circle", 1, 4, 3), ("cyclic", 2, 3, 3)]:
+        want = [naive(prior, L, n, k) for k in range(d + 1)]
+        assert ldlr._md_counts(prior, L, n, d, ldlr.MD_BUDGET) == want
+        assert [md_count(prior, L, n, k) for k in range(d + 1)] == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda budget: md_count("cyclic", 2, 3, 3, budget),
+    lambda budget: ldlr_from_md("cyclic", 2, 3, 0.5, 3, budget=budget),
+    lambda budget: ldlr_from_md("circle", 2, 3, 0.5, 3, exact=True, budget=budget),
+], ids=["md_count", "ldlr_from_md-cyclic", "ldlr_from_md-circle"])
+def test_md_budget_refuses_the_top_degree_before_any_move(monkeypatch, call):
+    def no_moves(*args):
+        raise AssertionError("a move was built before the budget was checked")
+    monkeypatch.setattr(ldlr, "Counter", no_moves)
+    with pytest.raises(ResourceLimitError):     # (L n^2)^2 = 324 fits, (L n^2)^3 does not
+        call(18 ** 3 - 1)
 
 
 def test_ldlr_from_md_circle_degree_one():
