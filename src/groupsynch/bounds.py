@@ -35,12 +35,12 @@ two moment primitives:
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import COUNT, NONNEGATIVE, PROBABILITY, SIZE, Rule, integer
 from .errors import InvalidParameterError, NumericalOverflowError, ResourceLimitError
 from .ldlr import _CHUNK_ENTRIES, _expand_over_mass, moment_table
 
@@ -83,20 +83,25 @@ def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha) -> np.ndarray
     return np.array(out).reshape(np.shape(m) + np.shape(two_alpha))
 
 
+# exponents up to 10, and sums of up to 1e4 terms, one binomial pmf row each
+_CLT_ALPHA = Rule(False, 0, 10)
+_CLT_N = integer(1, 10 ** 4)
+
+
 def _clt_checks(distribution, n: int, alphas) -> list:
     """:func:`check_clt_moment_bound` at each alpha of ``alphas``, from one binomial
     pmf row; every argument is checked before the row is computed."""
-    if not all(0 <= alpha <= 10 for alpha in alphas):     # NaN fails too
-        raise InvalidParameterError("alpha must lie in [0, 10]")
-    if not isinstance(n, numbers.Integral) or not 1 <= n <= 10 ** 4:
-        raise InvalidParameterError("n must be an integer in [1, 1e4]")
+    for alpha in alphas:
+        _CLT_ALPHA.check("alpha", alpha)
+    _CLT_N.check("n", n)
     if distribution == "rademacher":
         p, sigma2, base = 0.5, 1.0, 4.0     # sum = 2 Binomial(n, 1/2) - n
-    else:
-        kind, p = distribution
-        if kind != "bernoulli" or not 0 < p < 1:
-            raise InvalidParameterError(f"unknown distribution {distribution!r}")
+    elif isinstance(distribution, (tuple, list)) and len(distribution) == 2 \
+            and distribution[0] == "bernoulli":
+        p = PROBABILITY.check("p", distribution[1])
         sigma2, base = p * (1 - p), 1.0
+    else:
+        raise InvalidParameterError(f"unknown distribution {distribution!r}")
     moments = _centered_binomial_moments(np.array([n]), p, [2 * alpha for alpha in alphas])[0]
     checks = []
     for alpha, moment in zip(alphas, moments):
@@ -116,6 +121,9 @@ def check_clt_moment_bound(distribution, n: int, alpha: float) -> BoundCheck:
     return _clt_checks(distribution, n, (alpha,))[0]
 
 
+_T_RECURSION_L = integer(3)
+
+
 def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck:
     """Verify the elimination-step inequality for every conditioning tuple.
 
@@ -123,19 +131,20 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck
     most n, computes both sides exactly, and reports the smallest margin
     rhs - lhs together with any violations.
     """
-    if n < 0:
-        raise InvalidParameterError("n must be nonnegative")
-    if not (2 < L and 1 <= k < L):
-        raise InvalidParameterError("need L > 2 and 1 <= k < L")
-    alpha = [float(a) for a in alpha]
-    if len(alpha) != k or any(not 0 <= a < math.inf for a in alpha):
-        raise InvalidParameterError("alpha must have k finite nonnegative entries")
-    if not 0 <= gamma < math.inf:
-        raise InvalidParameterError("gamma must be finite and nonnegative")
+    _T_RECURSION_L.check("L", L)
+    COUNT.check("n", n)
+    if SIZE.check("k", k) >= L:
+        raise InvalidParameterError("need k < L")
+    alpha = [float(NONNEGATIVE.check("alpha", a)) for a in alpha]
+    if len(alpha) != k:
+        raise InvalidParameterError("alpha must have k entries")
+    NONNEGATIVE.check("gamma", gamma)
 
+    # k = 1 has one tuple, but its binomial row holds n + 1 entries, as many as k = 2's tuples
     n_tuples = math.comb(n + k - 1, k - 1)
-    if n_tuples > _TUPLE_BUDGET:
-        raise ResourceLimitError(f"{n_tuples} conditioning tuples exceed the budget")
+    if max(n_tuples, n + 1) > _TUPLE_BUDGET:
+        raise ResourceLimitError(f"{max(n_tuples, n + 1)} conditioning tuples or binomial "
+                                 f"entries exceed the budget")
     tuples = _partial_tuples(n, k - 1)
 
     ak = alpha[k - 1]
@@ -190,8 +199,8 @@ def check_l3_moment_bound(n: int, d_max: int):
     regime d^3 <= n the rows are still computed but flagged.  Either side
     leaving the float range raises :class:`NumericalOverflowError`.
     """
-    if d_max < 1:
-        raise InvalidParameterError("d_max must be >= 1")
+    SIZE.check("n", n)
+    SIZE.check("d_max", d_max)
     # the right side first: where the bound holds, a left side past the
     # float range means this one is past it too, so that raises before any
     # moment is computed

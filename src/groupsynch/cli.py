@@ -7,8 +7,10 @@ samples; ``models.Model.from_name`` reads the name.  Every output file is
 written to a temporary file and renamed into place.  Exit codes: 0 success,
 1 a suite assertion failed, 2 a usage error (a bad flag or grid) or a
 configuration error (a bad config or input file).  The environment variable
-``GROUPSYNCH_BUDGET``, a positive integer, overrides the default enumeration
-budget.
+``GROUPSYNCH_BUDGET``, a positive integer, overrides both default budgets: the
+count vectors of the exact and brute-force routes and the tuples of the md
+route.  An observation file's ``n`` and each channel's ``dim`` must keep the
+library's size rule (an integer >= 1, never a bool).
 """
 from __future__ import annotations
 
@@ -24,10 +26,11 @@ from . import ldlr as ldlr_mod
 from .detect import (DetectorConfig, calibrate_threshold, detect as run_detect,
                      power_curve)
 from . import models as models_mod
+from ._rules import SIZE
 from .ensembles import EnsembleKind, sample
 from .errors import ConfigError, GroupsynchError, InvalidParameterError
 from .experiments import (_PRIORS, _ROUTES, KINDS, ExperimentConfig, _atomic_write,
-                          _integer, _ldlr_report, _load_json, run, write_csv)
+                          _ldlr_report, _load_json, run, write_csv)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -78,9 +81,11 @@ def _obs_from_json(path) -> models_mod.SynchObservation:
         raise ConfigError("in", f"malformed observation: {exc}") from exc
     if not isinstance(obs.model, str):
         raise ConfigError("in", "observation 'model' must be a string")
-    if not _integer(obs.n) or obs.n < 1:
-        raise ConfigError("in", "observation 'n' must be an integer >= 1")
+    if not SIZE.holds(obs.n):
+        raise ConfigError("in", f"observation 'n' must be {SIZE}")
     for f in obs.freqs:     # the order models._channel builds: n dim, doubled for GSE
+        if not SIZE.holds(f.dim):
+            raise ConfigError("in", f"channel {f.label!r} 'dim' must be {SIZE}")
         order = obs.n * f.dim * (2 if f.type_tag == "quaternionic" else 1)
         if f.matrix.shape != (order, order):
             raise ConfigError("in", f"channel {f.label!r} is {f.matrix.shape}, not the "

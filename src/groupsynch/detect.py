@@ -9,11 +9,11 @@ the asymptotic bulk edge at 2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import COUNT, NONNEGATIVE, PROBABILITY, REAL, SIZE, integer
 from .eigen import top_eigenvalue
 from .errors import InvalidParameterError
 from .models import Model, SynchObservation
@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# fewer null draws leave the (1 - alpha) quantile too coarse
+_CALIBRATION_TRIALS = integer(50)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     alpha: float = 0.05
@@ -37,13 +41,9 @@ class DetectorConfig:
     eigen_tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise InvalidParameterError("significance level must lie in (0, 1)")
-        if not (isinstance(self.calibration_trials, numbers.Integral)
-                and self.calibration_trials >= 50):
-            raise InvalidParameterError("need an integer of at least 50 calibration trials")
-        if not 0 <= self.eigen_tol < math.inf:
-            raise InvalidParameterError("eigen_tol must be finite and nonnegative")
+        PROBABILITY.check("alpha", self.alpha)
+        _CALIBRATION_TRIALS.check("calibration_trials", self.calibration_trials)
+        NONNEGATIVE.check("eigen_tol", self.eigen_tol)
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ def calibrate_threshold(model: Model, n: int, config: DetectorConfig,
     so small calibration samples err on the side of fewer false alarms.
     At alpha -> 1 this degrades to the sample minimum.
     """
+    SIZE.check("n", n)
     stats = _max_stats(model.null(), n, spawn_seeds(seed, config.calibration_trials),
                        config.eigen_tol)
     return float(np.quantile(stats, 1.0 - config.alpha, method="higher"))
@@ -78,15 +79,15 @@ def calibrate_threshold(model: Model, n: int, config: DetectorConfig,
 
 def detect(obs: SynchObservation, threshold: float, tol: float = 1e-8) -> DetectionVerdict:
     """Declare planted iff the max top eigenvalue exceeds the threshold."""
+    REAL.check("threshold", threshold)
     stat, vals = max_top_eigenvalue(obs, tol)
     return DetectionVerdict("p" if stat > threshold else "q", vals, float(threshold))
 
 
 def wilson_interval(successes: int, trials: int):
     """Wilson score interval at 95 % (z = 1.96) for a binomial proportion."""
-    if trials <= 0:
-        raise InvalidParameterError("trials must be positive")
-    if not 0 <= successes <= trials:
+    SIZE.check("trials", trials)
+    if COUNT.check("successes", successes) > trials:
         raise InvalidParameterError("successes must lie in [0, trials]")
     phat, z = successes / trials, 1.96
     denom = 1 + z ** 2 / trials
@@ -103,11 +104,10 @@ def power_curve(model: Model, n: int, snr_grid, trials: int,
     the null rejection rate (empirical type-I error) is measured on fresh
     null draws.  Returns a list of rows with Wilson confidence intervals.
     """
-    snr_grid = list(snr_grid)
+    snr_grid = [float(NONNEGATIVE.check("snr", lam)) for lam in snr_grid]
     if not snr_grid:
         raise InvalidParameterError("snr grid must be nonempty")
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    SIZE.check("trials", trials)
     threshold = calibrate_threshold(model, n, config, seed=seed)
 
     def rejections(m: Model, stream: int) -> int:
@@ -117,9 +117,9 @@ def power_curve(model: Model, n: int, snr_grid, trials: int,
     type1 = rejections(model.null(), 1) / trials
     rows = []
     for gi, lam in enumerate(snr_grid):
-        hits = rejections(model.with_snr(float(lam)), 2 + gi)
+        hits = rejections(model.with_snr(lam), 2 + gi)
         lo, hi = wilson_interval(hits, trials)
-        rows.append({"snr": float(lam), "power": hits / trials,
+        rows.append({"snr": lam, "power": hits / trials,
                      "power_lo": lo, "power_hi": hi,
                      "type1": type1, "threshold": threshold,
                      "n": n, "trials": trials})

@@ -35,6 +35,7 @@ import numpy as np
 import scipy
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from ._rules import NONNEGATIVE, SIZE
 from .errors import InvalidParameterError, NonConvergenceError
 
 __all__ = ["top_eigenvalue"]
@@ -176,12 +177,11 @@ def top_eigenvalue(h: np.ndarray, tol: float = 1e-8, maxiter: int = None) -> flo
     precision; Hermitian eigenvalues are perturbed by at most the backward
     error norm, which stays two orders of magnitude below that tolerance.
     ``tol`` must be finite and nonnegative (0 asks ARPACK for machine
-    precision) and ``maxiter``, when given, positive.
+    precision) and ``maxiter``, when given, an integer >= 1.
     """
-    if not 0 <= tol < np.inf:
-        raise InvalidParameterError("tol must be finite and nonnegative")
-    if maxiter is not None and maxiter < 1:
-        raise InvalidParameterError("maxiter must be positive")
+    NONNEGATIVE.check("tol", tol)
+    if maxiter is not None:
+        SIZE.check("maxiter", maxiter)
     h = _check_hermitian(h)
     n = h.shape[0]
     if n <= _DENSE_CUTOFF:

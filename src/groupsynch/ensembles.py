@@ -27,11 +27,11 @@ Sampling is a pure function of (kind, seed) via counter-based Philox streams.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import SIZE
 from .eigen import _tiles, top_eigenvalue
 from .errors import InvalidParameterError
 from .rng import make_rng, spawn_seeds
@@ -57,8 +57,7 @@ class EnsembleKind:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise InvalidParameterError(f"unknown ensemble tag {self.tag!r}")
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise InvalidParameterError("matrix size parameter must be an integer >= 1")
+        SIZE.check("n", self.n)
 
 
 @dataclass(frozen=True)
@@ -127,16 +126,16 @@ def _upper_gse(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _mirror_upper(_upper_goe(n, rng))
+    return _mirror_upper(_upper_goe(SIZE.check("n", n), rng))
 
 
 def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _mirror_upper(_upper_gue(n, rng))
+    return _mirror_upper(_upper_gue(SIZE.check("n", n), rng))
 
 
 def sample_gse(n: int, rng: np.random.Generator) -> np.ndarray:
     """2n x 2n Hermitian matrix of quaternionic blocks (see ``_upper_gse``)."""
-    return _mirror_upper(_upper_gse(n, rng))
+    return _mirror_upper(_upper_gse(SIZE.check("n", n), rng))
 
 
 _SAMPLERS = {"GOE": sample_goe, "GUE": sample_gue, "GSE": sample_gse}
@@ -154,10 +153,7 @@ def spectral_edge_check(kind: EnsembleKind, trials: int, seed: int):
     Under the conventions above the bulk spectrum of W/sqrt(n) fills
     [-2, 2] for each ensemble, so the mean should sit near 2 for large n.
     """
-    if kind.n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    SIZE.check("trials", trials)
     vals = np.empty(trials)
     for t, s in enumerate(spawn_seeds(seed, trials)):
         w = sample(kind, s).entries

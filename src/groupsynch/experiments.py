@@ -9,6 +9,8 @@ failures off those rows: one message per row whose ``pass`` is false.  The
 manifest records library versions, the bundled OpenBLAS libraries with
 their thread counts, wall time, and the failures.  ``_ROUTES`` says which
 statistic each LDLR route computes; the CLI, the sweep and phase diagram read it.
+Every param is checked before any row, against the rule of the function that
+reads it (``_PARAM_RULES``); a bad one is a ``ConfigError`` naming it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import platform
 import time
@@ -28,7 +29,8 @@ import scipy
 
 from . import bounds as bounds_mod
 from . import ldlr as ldlr_mod
-from .detect import DetectorConfig, power_curve
+from ._rules import COUNT, NONNEGATIVE, ORDER, PROBABILITY, SIZE
+from .detect import _CALIBRATION_TRIALS, DetectorConfig, power_curve
 from .eigen import _blas_threads
 from . import models as models_mod
 from .errors import (ConfigError, InvalidParameterError, NumericalOverflowError,
@@ -113,23 +115,36 @@ _DEFAULT_PARAMS = {
 KINDS = tuple(_DEFAULT_PARAMS)
 
 
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+class _Instance(tuple):
+    """The rule of an [L, n] instance: a list of two values, each keeping its own rule."""
+
+    def holds(self, value) -> bool:
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and self[0].holds(value[0]) and self[1].holds(value[1]))
+
+    def __str__(self) -> str:
+        return f"[L, n] with L {self[0]} and n {self[1]}"
 
 
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# What a value must be, checked before any row is computed: param -> (test, rule).
-# A grid's test holds for each entry; mc_samples is checked only where mc runs.
+# What each param must be, checked before any row is computed: the rule of the function
+# that reads it, for the value or each entry of a grid.  mc_samples is checked only
+# where mc runs.  The choice keys prior, methods, model and groups are looked up instead.
 _PARAM_RULES = {
-    "D": (lambda v: _integer(v) and v >= 0, "must be an integer >= 0"),
-    "mc_samples": (lambda v: _integer(v) and v >= 100, "must be an integer >= 100"),
-    "clt_alpha": (lambda v: _real(v) and 0 <= v <= 10, "entries must lie in [0, 10]"),
-    "clt_n": (lambda v: _integer(v) and 1 <= v <= 10 ** 4,
-              "entries must be integers in [1, 1e4]"),
-    "clt_bernoulli_p": (lambda v: _real(v) and 0 < v < 1, "entries must lie in (0, 1)"),
+    "ldlr-sweep": {"L_grid": SIZE, "n_grid": SIZE, "snr_grid": NONNEGATIVE, "D": COUNT,
+                   "mc_samples": ldlr_mod._MC_SAMPLES},
+    "power-sweep": {"L": SIZE, "n": SIZE, "snr_grid": NONNEGATIVE, "trials": SIZE,
+                    "alpha": PROBABILITY, "calibration_trials": _CALIBRATION_TRIALS},
+    "oracle-suite": {"exact_instances": _Instance((ORDER, SIZE)),
+                     "md_instances": _Instance((ORDER, SIZE)),
+                     "snr": NONNEGATIVE, "D": COUNT, "mc_samples": ldlr_mod._MC_SAMPLES},
+    "bound-suite": {"clt_n": bounds_mod._CLT_N, "clt_alpha": bounds_mod._CLT_ALPHA,
+                    "clt_bernoulli_p": PROBABILITY, "trec_L": bounds_mod._T_RECURSION_L,
+                    "trec_n": COUNT, "trec_alpha_sum": COUNT, "trec_gamma": NONNEGATIVE,
+                    "l3_n": SIZE, "l3_dmax": SIZE},
+    "equivalence-suite": {"n": SIZE, "snr": NONNEGATIVE, "variance_pairs": SIZE,
+                          "variance_n": ORDER, "variance_tol": NONNEGATIVE},
+    "phase-diagram": {"L_grid": ORDER, "snr_grid": NONNEGATIVE, "n": SIZE,
+                      "D_exponent": NONNEGATIVE, "trials": COUNT, "power_n": SIZE},
 }
 
 
@@ -151,9 +166,6 @@ class ExperimentConfig:
             raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
         if "seed" not in data:
             raise ConfigError("seed", "is required")
-        seed = data["seed"]
-        if not _integer(seed):
-            raise ConfigError("seed", "must be an integer")
         for key in ("params", "budgets", "out"):
             if not isinstance(data.get(key, {}), dict):
                 raise ConfigError(key, "must be a JSON object")
@@ -162,7 +174,7 @@ class ExperimentConfig:
         budgets = {"enumeration": ldlr_mod.DEFAULT_BUDGET}
         budgets.update(data.get("budgets", {}))
         out = data.get("out", {})
-        cfg = ExperimentConfig(kind, seed, params, budgets,
+        cfg = ExperimentConfig(kind, data["seed"], params, budgets,
                                out.get("csv"), out.get("manifest"))
         cfg.validate()
         return cfg
@@ -174,12 +186,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError("kind", f"must be one of {KINDS}")
+        if not COUNT.holds(self.seed):      # the seed rule of rng.make_rng
+            raise ConfigError("seed", f"must be {COUNT}")
         for key, value in self.budgets.items():
             if key not in _BUDGETS:
                 raise ConfigError(f"budgets.{key}",
                                   f"unknown budget; expected one of {_BUDGETS}")
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigError(f"budgets.{key}", "must be a positive integer")
+            if not SIZE.holds(value):
+                raise ConfigError(f"budgets.{key}", f"must be {SIZE}")
+        rules = _PARAM_RULES[self.kind]
         for key, value in self.params.items():
             if key not in _DEFAULT_PARAMS[self.kind]:
                 raise ConfigError(f"params.{key}", f"unknown parameter for {self.kind}")
@@ -187,11 +202,16 @@ class ExperimentConfig:
             grid = isinstance(_DEFAULT_PARAMS[self.kind][key], list)
             if grid and (not isinstance(value, (list, tuple)) or len(value) == 0):
                 raise ConfigError(f"params.{key}", "grid must be a nonempty list")
-            test, rule = _PARAM_RULES.get(key, (None, None))
+            rule = rules.get(key)
             if key == "mc_samples" and "mc" not in self.params.get("methods", ("mc",)):
-                test = None
-            if test is not None and not all(map(test, value if grid else [value])):
-                raise ConfigError(f"params.{key}", rule)
+                rule = None
+            if rule is not None and not all(map(rule.holds, value if grid else [value])):
+                raise ConfigError(f"params.{key}", f"{'entries ' if grid else ''}must be {rule}")
+        for name in self.params.get("groups", ()):
+            try:
+                build_catalog(name)
+            except InvalidParameterError as exc:
+                raise ConfigError("params.groups", str(exc)) from exc
         if "prior" in self.params and self.params["prior"] not in _PRIORS:
             raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
@@ -284,17 +304,14 @@ def stat_threshold_lower_bound(L: int) -> float:
     sqrt(2 (L-1) log(L-1) / (L (L-2))) for L > 2; for L = 2 the threshold
     is the spectral one, so the marker is 1.
     """
-    if L < 2:
-        raise InvalidParameterError("marker needs L >= 2")
-    if L == 2:
+    if ORDER.check("L", L) == 2:
         return 1.0
     return math.sqrt(2 * (L - 1) * math.log(L - 1) / (L * (L - 2)))
 
 
 def stat_threshold_upper_bound(L: int) -> float:
     """Signal level above which an (inefficient) test exists: sqrt(4 log L / (L-1))."""
-    if L < 2:
-        raise InvalidParameterError("marker needs L >= 2")
+    ORDER.check("L", L)
     return math.sqrt(4 * math.log(L) / (L - 1))
 
 
@@ -498,8 +515,6 @@ def _run_phase_diagram(cfg: ExperimentConfig):
     """
     rows = []
     p = cfg.params
-    if not all(0 <= float(snr) < math.inf for snr in p["snr_grid"]):
-        raise InvalidParameterError("snr values must be finite and nonnegative")
     route = dict(exact=False, statistic=None, samples=20000, seed=cfg.seed, budgets=cfg.budgets)
     for L in p["L_grid"]:
         lb = stat_threshold_lower_bound(L)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rules import NONNEGATIVE, ORDER, integer
 from .errors import InvalidParameterError, NumericalInconsistencyError
 
 __all__ = [
@@ -259,8 +260,7 @@ def build_cyclic(L: int):
     fixed table of L-th roots of unity so that equal angles produce
     bit-identical complex numbers across callers.
     """
-    if L < 2:
-        raise InvalidParameterError("cyclic group needs order >= 2")
+    ORDER.check("L", L)
     mul = (np.arange(L)[:, None] + np.arange(L)[None, :]) % L
     labels = tuple(str(g) for g in range(L))
     group = FiniteGroup(mul, labels=labels, name=f"cyclic({L})")
@@ -273,15 +273,16 @@ def build_cyclic(L: int):
     return group, IrrepList(tuple(entries), mode="full")
 
 
+_DIHEDRAL_M = integer(3)    # the catalog's dihedral groups start at the triangle's
+
+
 def build_dihedral(m: int):
     """Dihedral group of order ``2m`` with its standard irreps.
 
     Elements 0..m-1 are rotations r^a, elements m..2m-1 are reflections
     s r^a, with (s r^a)(s r^b) = r^(b-a).
     """
-    if m < 3:
-        raise InvalidParameterError("dihedral group needs m >= 3")
-    L = 2 * m
+    L = 2 * _DIHEDRAL_M.check("m", m)
 
     def prod(x, y):
         ax, sx = x % m, x // m
@@ -349,7 +350,7 @@ _CATALOG_RE = re.compile(r"^(cyclic|dihedral)\((\d+)\)$|^quaternion8$")
 
 def build_catalog(name: str):
     """Build a catalog group by name: ``cyclic(L)``, ``dihedral(m)`` or ``quaternion8``."""
-    m = _CATALOG_RE.match(name.strip())
+    m = _CATALOG_RE.match(name.strip()) if isinstance(name, str) else None
     if m is None:
         raise InvalidParameterError(f"unknown catalog group {name!r}")
     if name.strip() == "quaternion8":
@@ -402,6 +403,7 @@ def regular_rep_unitary(group: FiniteGroup, irreps: IrrepList, tol: float = STRU
     the scaled matrix coefficients; U rho_reg(g) U* is block diagonal with
     each irrep's matrix repeated (complex dimension) times.
     """
+    NONNEGATIVE.check("tol", tol)
     if irreps.mode != "full":
         raise InvalidParameterError("regular representation needs the full irrep list")
     if sum(r.dim ** 2 for r in irreps) != group.order:

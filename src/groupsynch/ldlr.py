@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -62,6 +61,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from ._rules import COUNT, NONNEGATIVE, ORDER, REAL, SIZE, integer
 from .eigen import _single_thread_blas
 from .errors import (DivergentSeriesError, InvalidParameterError,
                      NumericalOverflowError, ResourceLimitError)
@@ -127,14 +127,20 @@ def _terms(moments, lam, n: int, exact: bool) -> tuple:
     return terms if exact else tuple(float(t) for t in terms)
 
 
+# the big-integer sum grows as n^2; the oracle suite's largest n is 100
+_BINOMIAL_N = integer(1, 10 ** 4)
+
+
 def first_moment_via_binomial(L: int, n: int, exact: bool = True):
     """E[s] for the ``pearson`` statistic, by enumerating binomial marginals.
 
     Sums (L/2) * E (n_g - n/L)^2 over g using the exact Binomial(n, 1/L)
     law of each count; independent of the closed form n(L-1)/2.  The sum is
     a rational; ``exact=False`` returns it correctly rounded to a float.
+    ``n`` must lie in [1, 1e4].
     """
-    _check_route_args(L, n, 0, 0, min_L=1)
+    SIZE.check("L", L)
+    _BINOMIAL_N.check("n", n)
     # integer accumulation of sum_k C(n,k) (L-1)^(n-k) (kL - n)^2, then
     # E[s] = L * (L/2) * E(n_g - n/L)^2 = num / (2 L^n)
     num = 0
@@ -170,9 +176,12 @@ def moment_table(L: int, n: int, D: int, exact: bool = False,
 # Exact multinomial route
 # ---------------------------------------------------------------------------
 
-def _check_route_args(L: int, n: int, lam, D: int, min_L: int = 2) -> None:
-    if L < min_L or n < 1 or D < 0 or not 0 <= float(lam) < math.inf:
-        raise InvalidParameterError(f"need L >= {min_L}, n >= 1, D >= 0, finite lam >= 0")
+def _check_route_args(L: int, n: int, lam, D: int, budget: int, L_rule=ORDER) -> None:
+    L_rule.check("L", L)
+    SIZE.check("n", n)
+    SIZE.check("budget", budget)
+    NONNEGATIVE.check("lam", lam)
+    COUNT.check("D", D)
 
 
 def _expand_over_mass(rest: np.ndarray):
@@ -244,7 +253,7 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
     about 2.1e6) raises :class:`ResourceLimitError` as well.
     """
     _check_statistic(statistic)
-    _check_route_args(L, n, lam, D)
+    _check_route_args(L, n, lam, D, budget)
     total = math.comb(n + L - 1, L - 1)
     if total > budget:
         raise ResourceLimitError(f"{total} count vectors exceed the budget of {budget}")
@@ -302,7 +311,7 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
     is built, whatever the ``budget``.
     """
     _check_statistic(statistic)
-    _check_route_args(L, n, lam, D)
+    _check_route_args(L, n, lam, D, budget)
     # the logarithm bounds L^n before the power is built, so a huge n never builds it
     if n * math.log2(L) > 64 or max(L ** n, 2 * L * n * n) > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{L}^{n} assignments pass int64")
@@ -340,11 +349,15 @@ def _md_counts(prior: str, L: int, n: int, D: int, budget: int) -> list:
     """:func:`md_count` at every degree 0..D, from one walk over the distinct moves."""
     if prior not in ("circle", "cyclic"):
         raise InvalidParameterError(f"unknown prior {prior!r}")
-    if L < 1 or n < 1 or D < 0:
-        raise InvalidParameterError("need L >= 1, n >= 1, d >= 0")
-    if (L * n * n) ** D > budget:
-        raise ResourceLimitError(
-            f"(L n^2)^d = {(L * n * n) ** D} exceeds the budget of {budget}")
+    _check_route_args(L, n, 0, D, budget, SIZE)
+    if D == 0:
+        return [1]
+    # the logarithms bound a huge d before (L n^2)^d is built
+    if D * math.log2(L * n * n) > math.log2(budget) + 1 or (L * n * n) ** D > budget:
+        raise ResourceLimitError(f"(L n^2)^d for d = {D} exceeds the budget of {budget}")
+    if L * n ** 3 > budget:     # the move table: L n^2 tuples of n entries
+        raise ResourceLimitError(f"the move table's L n^3 = {L * n ** 3} entries exceed "
+                                 f"the budget of {budget}")
     reduce = (lambda v: tuple(x % L for x in v)) if prior == "cyclic" else tuple
     moves = Counter(reduce(ell * ((i == a) - (i == b)) for i in range(n))   # l (e_a - e_b)
                     for ell in range(1, L + 1) for a in range(n) for b in range(n))
@@ -367,12 +380,14 @@ def md_count(prior: str, L: int, n: int, d: int, budget: int = MD_BUDGET) -> int
     tests zero mod L.  Every exact zero is a zero mod L, so the circle count
     never exceeds the cyclic count.
 
-    Exhaustive over the (L n^2)^d tuples, which ``budget`` caps, but each
-    distinct move l (e_a - e_b) (mod L on the cyclic prior) is taken once
+    Exhaustive over the (L n^2)^d tuples, which ``budget`` caps, as it caps
+    the L n^3 entries of the move table at d >= 1 (d = 0 counts 1 at once);
+    each distinct move l (e_a - e_b) (mod L on the cyclic prior) is taken once
     with its multiplicity.  One walk tallies the distinct partial sums, as
     integer tuples, and closes every degree k <= d by joining the degree
     k-1 partial sums with the moves that cancel them.
     """
+    COUNT.check("d", d)
     return _md_counts(prior, L, n, d, budget)[d]
 
 
@@ -384,7 +399,7 @@ def ldlr_from_md(prior: str, L: int, n: int, lam, D: int, exact: bool = False,
     likelihood-ratio projection with L frequency channels.  For the cyclic
     prior it equals the ``all_frequencies`` multinomial route, term by term.
     """
-    _check_route_args(L, n, lam, D, min_L=1)
+    NONNEGATIVE.check("lam", lam)     # _md_counts checks the rest
     params = {"L": L, "n": n, "lam": float(lam), "D": D, "prior": prior,
               "statistic": "all_frequencies"}
     return LdlrReport(_terms(_md_counts(prior, L, n, D, budget), lam, n, exact),
@@ -441,8 +456,8 @@ def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> np.ndarray
     Uses the symmetry reduction that replaces the second, independent signal
     draw by a fixed reference point, valid for every prior considered here.
     """
-    if n < 1 or samples < 1:
-        raise InvalidParameterError("need n >= 1 and samples >= 1")
+    SIZE.check("n", n)
+    SIZE.check("samples", samples)
     rng = make_rng(seed, 71)
     lam2_over_n = model.snr ** 2 / n
     if model.kind == "circle":
@@ -462,6 +477,10 @@ def sample_overlaps(model: Model, n: int, samples: int, seed=None) -> np.ndarray
     return lam2_over_n * stat
 
 
+# fewer samples leave the standard errors too rough to gate on
+_MC_SAMPLES = integer(100)
+
+
 def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
                             seed=None) -> LdlrReport:
     """Monte-Carlo estimate of the degree-<=D second moment with its error.
@@ -472,8 +491,8 @@ def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
     Memory is O(samples * (n + D)) for the circle prior; finite priors draw
     their signals in chunks and hold O(samples * (order + D)) plus one chunk.
     """
-    if samples < 100 or D < 0:
-        raise InvalidParameterError("need at least 100 samples and D >= 0")
+    COUNT.check("D", D)
+    _MC_SAMPLES.check("samples", samples)
     omega = sample_overlaps(model, n, samples, seed)
     # omega >= 0: each product below is at most max(omega)^d / (d-1)!, and the
     # variance sums `samples` squares of sums of D+1 of them: check in log space
@@ -507,9 +526,8 @@ def polylog_neg(order: int, z: float) -> float:
     rationals at the float z and rounded once.  A sum past the float range
     raises :class:`NumericalOverflowError`.
     """
-    if not isinstance(order, numbers.Integral) or order < 0:
-        raise InvalidParameterError("order must be an integer >= 0")
-    if not 0 <= z < 1:
+    COUNT.check("order", order)
+    if not 0 <= REAL.check("z", z) < 1:
         raise DivergentSeriesError("series converges only for 0 <= z < 1")
     if z == 0:
         return 0.0

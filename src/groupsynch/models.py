@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles
+from ._rules import NONNEGATIVE, ORDER, SIZE, integer
 from .eigen import _single_thread_blas, _tiles
 from .errors import InvalidParameterError
 from .groups import FiniteGroup, Irrep, IrrepList, build_catalog, regular_rep_unitary
@@ -99,21 +100,24 @@ class IndicatorObservation:
     seed: int = None
 
 
+_CYCLIC_L = integer(1, 2 ** 63)     # the int64 draws of sample_signal stay below L
+
+
 def sample_signal(prior, n: int, seed=None) -> SignalVector:
     """Draw an i.i.d. signal from ``prior``.
 
     ``prior`` is "circle", ("cyclic", L), or ("haar", group).  Circle values
     are unit-modulus complex numbers; finite priors return element indices.
     """
-    if n < 1:
-        raise InvalidParameterError("signal length must be >= 1")
+    SIZE.check("n", n)
     rng = make_rng(seed, _SIGNAL_STREAM)
     if prior == "circle":
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
         return SignalVector(np.exp(1j * phases), "circle", n)
-    kind, arg = prior
+    kind, arg = prior if isinstance(prior, (tuple, list)) and len(prior) == 2 else (None, None)
     if kind == "cyclic":
-        return SignalVector(rng.integers(0, int(arg), size=n), f"cyclic({arg})", n)
+        return SignalVector(rng.integers(0, int(_CYCLIC_L.check("L", arg)), size=n),
+                            f"cyclic({arg})", n)
     if kind == "haar":
         group: FiniteGroup = arg
         return SignalVector(rng.integers(0, group.order, size=n), f"haar({group.name})", n)
@@ -121,16 +125,12 @@ def sample_signal(prior, n: int, seed=None) -> SignalVector:
 
 
 def _snr_list(snr, count: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(snr, dtype=float))
-    if arr.size == 1:
-        arr = np.repeat(arr, count)
-    if arr.size != count:
-        raise InvalidParameterError(f"need {count} snr values, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError("snr values must be finite")
-    if (arr < 0).any():
-        raise InvalidParameterError("snr values must be nonnegative")
-    return arr
+    """One snr, or one per channel, as ``count`` floats; each entry a finite real >= 0."""
+    values = [float(NONNEGATIVE.check("snr", v))
+              for v in np.atleast_1d(np.asarray(snr, dtype=object))]
+    if len(values) not in (1, count):
+        raise InvalidParameterError(f"need 1 or {count} snr values, got {len(values)}")
+    return np.array(values * (count // len(values)))
 
 
 def _channel(x: np.ndarray, lam: float, d: int, type_tag: str, rng,
@@ -265,12 +265,9 @@ class Model:
     def __post_init__(self):
         if self.kind not in ("circle", "cyclic", "group"):
             raise InvalidParameterError(f"unknown model kind {self.kind!r}")
-        if self.kind in ("circle", "cyclic") and (self.L is None or self.L < 1):
-            raise InvalidParameterError("model needs L >= 1")
-        if self.kind == "cyclic" and self.L < 2:
-            raise InvalidParameterError("cyclic model needs L >= 2")
-        if not 0 <= self.snr < np.inf:
-            raise InvalidParameterError("snr must be finite and nonnegative")
+        if self.kind in ("circle", "cyclic"):
+            (ORDER if self.kind == "cyclic" else SIZE).check("L", self.L)
+        NONNEGATIVE.check("snr", self.snr)
         if self.kind == "group":
             if self.group is None:
                 raise InvalidParameterError("group model needs a group")
@@ -297,7 +294,8 @@ class Model:
         return f"group({self.group.name})" if self.kind == "group" else f"{self.kind}(L={self.L})"
 
     def with_snr(self, snr: float) -> "Model":
-        return Model(self.kind, self.L, float(snr), self.group, self.irreps)
+        return Model(self.kind, self.L, float(NONNEGATIVE.check("snr", snr)), self.group,
+                     self.irreps)
 
     def null(self) -> "Model":
         return self.with_snr(0.0)
@@ -327,8 +325,7 @@ def sample_indicator(group: FiniteGroup, n: int, gamma: float,
     imaginary parts each N(0, 1/2)) for every (k, j, g); gamma must be
     finite and nonnegative.
     """
-    if not 0 <= gamma < np.inf:     # NaN fails too
-        raise InvalidParameterError("gamma must be finite and nonnegative")
+    NONNEGATIVE.check("gamma", gamma)
     u = sample_signal(("haar", group), n, seed).values
     L = group.order
     rng = make_rng(seed, _NOISE_STREAM)

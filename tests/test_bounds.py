@@ -16,7 +16,7 @@ from groupsynch import bounds
 from groupsynch.bounds import (_centered_binomial_moments, _clt_checks, _partial_tuples,
                                check_clt_moment_bound, check_l3_moment_bound,
                                check_t_recursion)
-from groupsynch.errors import InvalidParameterError, NumericalOverflowError
+from groupsynch.errors import InvalidParameterError, NumericalOverflowError, ResourceLimitError
 
 
 def test_import_does_not_load_scipy_stats():
@@ -203,6 +203,16 @@ def test_t_recursion_k1():
     res = check_t_recursion(3, 30, 1, [2], 2)
     assert res.holds
     assert res.detail["tuples"] == 1
+
+
+def test_t_recursion_k1_budgets_its_binomial_row(monkeypatch):
+    # one conditioning tuple, but a pmf row of n + 1 entries, as many as k = 2's tuples
+    def no_moments(*args):
+        raise AssertionError("a binomial row was built before the budget was checked")
+    monkeypatch.setattr(bounds, "_centered_binomial_moments", no_moments)
+    for k in (1, 2):
+        with pytest.raises(ResourceLimitError):
+            check_t_recursion(3, bounds._TUPLE_BUDGET, k, [1.0] * k, 0)
 
 
 def test_t_recursion_validation():

@@ -77,6 +77,8 @@ def test_detect_rejects_unrebuildable_models(tmp_path, capsys, model):
     ('{"model": "cyclic(L=3)", "n": 3, "freqs": [{"label": "k=1", "snr": 1.0, "dim": 1, '
      '"type": "complex", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}',
      "channel 'k=1' is (2, 2), not the 3 x 3"),
+    ('{"model": "cyclic(L=3)", "n": 1, "freqs": [{"label": "k=1", "snr": 1.0, "dim": true, '
+     '"type": "complex", "matrix": [[[1, 0]]]}]}', "'dim' must be an integer >= 1"),
 ])
 def test_detect_refuses_unreadable_observations(tmp_path, capsys, content, message):
     obs_path = tmp_path / "obs.json"

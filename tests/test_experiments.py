@@ -258,10 +258,10 @@ def test_phase_diagram_rejects_bad_snr_before_any_evaluation(snr, monkeypatch):
         raise AssertionError("an LDLR route ran before the snr grid was checked")
     monkeypatch.setattr(experiments.ldlr_mod, "ldlr_exact_multinomial", no_route)
     monkeypatch.setattr(experiments.ldlr_mod, "ldlr_montecarlo_overlap", no_route)
-    cfg = ExperimentConfig.from_dict({"kind": "phase-diagram", "seed": 1,
-                                      "params": {"L_grid": [3, 13], "snr_grid": [0.5, snr]}})
-    with pytest.raises(InvalidParameterError):
-        run(cfg)
+    with pytest.raises(ConfigError) as exc:     # the config check refuses it, before run
+        run(ExperimentConfig.from_dict({"kind": "phase-diagram", "seed": 1,
+                                        "params": {"L_grid": [3, 13], "snr_grid": [0.5, snr]}}))
+    assert exc.value.field == "params.snr_grid"
 
 
 def test_phase_diagram_overflow_is_typed():

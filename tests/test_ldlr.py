@@ -460,6 +460,19 @@ def test_md_budget_refuses_the_top_degree_before_any_move(monkeypatch, call):
         call(18 ** 3 - 1)
 
 
+def test_md_degree_zero_builds_no_move_and_the_move_table_is_budgeted(monkeypatch):
+    def no_moves(*args):
+        raise AssertionError("a move was built")
+    monkeypatch.setattr(ldlr, "Counter", no_moves)
+    assert ldlr._md_counts("circle", 1, 400, 0, ldlr.MD_BUDGET) == [1]
+    assert md_count("cyclic", 3, 10 ** 4, 0) == 1
+    # (L n^2)^1 = 1e8 fits the default budget; the table's L n^3 = 1e12 entries do not
+    with pytest.raises(ResourceLimitError, match="move table"):
+        md_count("circle", 1, 10 ** 4, 1)
+    with pytest.raises(ResourceLimitError):     # a huge degree, refused by its logarithm
+        md_count("circle", 1, 3, 10 ** 9)
+
+
 def test_ldlr_from_md_circle_degree_one():
     rep = ldlr_from_md("circle", 4, 6, 0.5, 1)
     assert float(rep.cumulative) == pytest.approx(1 + 0.25 * 4, rel=1e-12)
