@@ -140,14 +140,38 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck
         raise InvalidParameterError("alpha must have k entries")
     NONNEGATIVE.check("gamma", gamma)
 
-    # k = 1 has one tuple, but its binomial row holds n + 1 entries, as many as k = 2's tuples
-    n_tuples = math.comb(n + k - 1, k - 1)
-    if max(n_tuples, n + 1) > _TUPLE_BUDGET:
-        raise ResourceLimitError(f"{max(n_tuples, n + 1)} conditioning tuples or binomial "
-                                 f"entries exceed the budget")
-    tuples = _partial_tuples(n, k - 1)
-
     ak = alpha[k - 1]
+    M = math.ceil(min(ak + gamma, _TUPLE_BUDGET))      # the cap keeps a huge sum finite
+    # k = 1 has one tuple, but its binomial row holds n + 1 entries, as many as k = 2's
+    # tuples; the right side sums M + 1 terms over every tuple
+    work = max(n + 1, (M + 1) * math.comb(n + k - 1, k - 1))
+    if work > _TUPLE_BUDGET:
+        raise ResourceLimitError(f"{work} binomial entries or right-side terms over the "
+                                 f"conditioning tuples exceed the budget")
+    tuples = _partial_tuples(n, k - 1)
+    try:
+        # an overflow to inf (or an inf times 0) is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, rhs = _t_recursion_sides(L, n, k, alpha, gamma, M, tuples)
+        finite = np.isfinite(lhs).all() and np.isfinite(rhs).all()
+    except OverflowError:       # K(alpha_k) or a binomial coefficient as a float
+        finite = False
+    if not finite:
+        raise NumericalOverflowError("a side of the t-recursion exceeds the float range")
+
+    margin = rhs - lhs
+    worst = int(np.argmin(margin))
+    violations = int(np.count_nonzero(lhs > rhs * (1 + 1e-12)))
+    return BoundCheck(float(lhs[worst]), float(rhs[worst]), violations == 0,
+                      {"L": L, "n": n, "k": k, "alpha": tuple(alpha), "gamma": gamma,
+                       "worst_tuple": tuple(int(v) for v in tuples[worst]),
+                       "violations": violations, "tuples": len(tuples)})
+
+
+def _t_recursion_sides(L, n, k, alpha, gamma, M, tuples):
+    """Both sides of the elimination step at every conditioning tuple."""
+    ak = alpha[k - 1]
+    const = _moment_constant(ak) * ((L - k) / (L - k + 1) ** 2) ** ak
     m_free = n - tuples.sum(axis=1)              # remaining mass per tuple
     m_vals, which = np.unique(m_free, return_inverse=True)
     moment = _centered_binomial_moments(m_vals, 1.0 / (L - k + 1), 2 * ak)[which]
@@ -162,24 +186,13 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck
         rem = rem - tuples[:, ell - 1]
 
     lhs = t_base * m_free.astype(float) ** gamma * moment
-
-    M = math.ceil(ak + gamma)
-    const = _moment_constant(ak) * ((L - k) / (L - k + 1) ** 2) ** ak
     a_prev = float(n) - tuples[:, :max(k - 2, 0)].sum(axis=1)
     rhs = np.zeros(len(tuples))
     for beta in range(M + 1):
         rhs += (math.comb(M, beta)
                 * ((L - k + 1) / (L - k + 2)) ** (M - beta)
                 * a_prev ** (M - beta) * (t_base * dev ** beta))
-    rhs *= const
-
-    margin = rhs - lhs
-    worst = int(np.argmin(margin))
-    violations = int(np.count_nonzero(lhs > rhs * (1 + 1e-12)))
-    return BoundCheck(float(lhs[worst]), float(rhs[worst]), violations == 0,
-                      {"L": L, "n": n, "k": k, "alpha": tuple(alpha), "gamma": gamma,
-                       "worst_tuple": tuple(int(v) for v in tuples[worst]),
-                       "violations": violations, "tuples": len(tuples)})
+    return lhs, rhs * const
 
 
 def _partial_tuples(n: int, width: int) -> np.ndarray:

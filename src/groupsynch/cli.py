@@ -8,9 +8,9 @@ written to a temporary file and renamed into place.  Exit codes: 0 success,
 1 a suite assertion failed, 2 a usage error (a bad flag or grid) or a
 configuration error (a bad config or input file).  The environment variable
 ``GROUPSYNCH_BUDGET``, a positive integer, overrides both default budgets: the
-count vectors of the exact and brute-force routes and the tuples of the md
-route.  An observation file's ``n`` and each channel's ``dim`` must keep the
-library's size rule (an integer >= 1, never a bool).
+count vectors of the exact and brute-force routes and the walk transitions of
+the md route.  An observation file's ``n`` and each channel's ``dim`` must
+keep the library's size rule (an integer >= 1, never a bool).
 """
 from __future__ import annotations
 

@@ -47,7 +47,7 @@ __all__ = [
     "write_csv",
 ]
 
-_BUDGETS = ("enumeration", "md")      # count vectors; md_count tuples
+_BUDGETS = ("enumeration", "md")      # count vectors; md walk transitions
 # What each LDLR route computes: method -> ({prior: its statistics there, its own first},
 # has a rational form); md's all_frequencies includes the trivial channel on cyclic priors
 _ROUTES = {

@@ -33,10 +33,10 @@ Routes:
     occupancy law);
   * :func:`ldlr_from_md` counts zero-sum index tuples, which fixes the
     moments of the ``all_frequencies`` statistic without touching the
-    multinomial law (and is the exact route for the circle prior).  One walk
-    in plain integer tuples adds the distinct moves, with multiplicities, to
-    a tally of partial sums and closes every degree by joining the partial
-    sums one degree lower with the moves that cancel them;
+    multinomial law (and is the exact route for the circle prior).  One
+    walk counts the walks into each S_n orbit of partial sums (their sorted
+    nonzero entries), so n enters only as a factor; its one budget is the
+    walk's transitions;
   * :func:`ldlr_montecarlo_overlap` averages the overlap series over
     sampled signals, drawn in fixed-size chunks for finite priors, and
     reports the standard error of each mean.
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,10 +120,15 @@ def _check_statistic(statistic):
 
 def _terms(moments, lam, n: int, exact: bool) -> tuple:
     """Terms t_d = lam^(2d) E[s^d] / (n^d d!) from the rational moments E[s^d],
-    each rounded once to a float unless ``exact``."""
+    each rounded once to a float unless ``exact``; a float past the float range
+    raises :class:`NumericalOverflowError`."""
     lam2 = Fraction(lam) ** 2
     terms = tuple(lam2 ** d * m / (n ** d * math.factorial(d)) for d, m in enumerate(moments))
-    return terms if exact else tuple(float(t) for t in terms)
+    try:
+        return terms if exact else tuple(float(t) for t in terms)
+    except OverflowError:
+        raise NumericalOverflowError(f"a term of degree <= {len(terms) - 1} exceeds the "
+                                     f"float range; rerun with exact=True") from None
 
 
 # the big-integer sum grows as n^2; the oracle suite's largest n is 100
@@ -342,33 +346,36 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
 # Tuple-family counting
 # ---------------------------------------------------------------------------
 
-MD_BUDGET = 10 ** 8
+# Transitions of the md walk: the worst admitted call at n = 1e6 takes about 3 s
+MD_BUDGET = 10 ** 6
 
 
 def _md_counts(prior: str, L: int, n: int, D: int, budget: int) -> list:
-    """:func:`md_count` at every degree 0..D, from one walk over the distinct moves."""
+    """:func:`md_count` at every degree 0..D, from one walk over S_n orbits."""
     if prior not in ("circle", "cyclic"):
         raise InvalidParameterError(f"unknown prior {prior!r}")
     _check_route_args(L, n, 0, D, budget, SIZE)
-    if D == 0:
-        return [1]
-    # the logarithms bound a huge d before (L n^2)^d is built
-    if D * math.log2(L * n * n) > math.log2(budget) + 1 or (L * n * n) ** D > budget:
-        raise ResourceLimitError(f"(L n^2)^d for d = {D} exceeds the budget of {budget}")
-    if L * n ** 3 > budget:     # the move table: L n^2 tuples of n entries
-        raise ResourceLimitError(f"the move table's L n^3 = {L * n ** 3} entries exceed "
-                                 f"the budget of {budget}")
-    reduce = (lambda v: tuple(x % L for x in v)) if prior == "cyclic" else tuple
-    moves = Counter(reduce(ell * ((i == a) - (i == b)) for i in range(n))   # l (e_a - e_b)
-                    for ell in range(1, L + 1) for a in range(n) for b in range(n))
-    partial, counts = Counter({(0,) * n: 1}), [1]     # the partial sums of degree d - 1
+    # entries mod L on the cyclic prior; on the circle |entry| <= L D < modulus / 2
+    modulus = L if prior == "cyclic" else 2 * L * D + 1
+    orbit = lambda v: tuple(sorted(filter(None, [x % modulus for x in v])))   # nonzeros
+    layer, counts, work = {(): 1}, [1], 2 * L * D     # D empty orbits, 2L transitions each
     for d in range(1, D + 1):
-        counts.append(sum(c * moves[reduce(-x for x in v)] for v, c in partial.items()))
-        if d < D:
-            walked = Counter()
-            for (v, c), (mv, m) in itertools.product(partial.items(), moves.items()):
-                walked[reduce(map(operator.add, v, mv))] += c * m
-            partial = walked
+        work += L * sum(len(s) ** 2 + len(s) + 2 for s in layer if s)
+        if work > budget:
+            raise ResourceLimitError(f"md to degree {D} takes at least {work} walk "
+                                     f"transitions, past the budget of {budget}")
+        walked = Counter()
+        for s, w in layer.items():
+            k, z = len(s), n - len(s)
+            walked[s] += w * n * L      # a = b
+            for ell in range(1, L + 1):
+                walked[orbit(s + (ell, -ell))] += w * z * (z - 1)     # two zero slots
+                for a, b in itertools.permutations(range(k + 1), 2):
+                    v = [*s, 0]     # slot k stands for each of the z zero slots
+                    v[a], v[b] = v[a] + ell, v[b] - ell
+                    walked[orbit(v)] += w if max(a, b) < k else w * z
+        layer = {s: w for s, w in walked.items() if w and len(s) <= 2 * (D - d)}
+        counts.append(layer.get((), 0))
     return counts
 
 
@@ -380,12 +387,10 @@ def md_count(prior: str, L: int, n: int, d: int, budget: int = MD_BUDGET) -> int
     tests zero mod L.  Every exact zero is a zero mod L, so the circle count
     never exceeds the cyclic count.
 
-    Exhaustive over the (L n^2)^d tuples, which ``budget`` caps, as it caps
-    the L n^3 entries of the move table at d >= 1 (d = 0 counts 1 at once);
-    each distinct move l (e_a - e_b) (mod L on the cyclic prior) is taken once
-    with its multiplicity.  One walk tallies the distinct partial sums, as
-    integer tuples, and closes every degree k <= d by joining the degree
-    k-1 partial sums with the moves that cancel them.
+    One walk counts the walks into each S_n orbit of partial sums (sorted
+    nonzero entries, mod L on the cyclic prior, at most 2(d - j) after j
+    steps); n enters only as a factor.  ``budget`` caps its transitions,
+    L (k^2 + k + 2) from an orbit with k nonzeros, before each step.
     """
     COUNT.check("d", d)
     return _md_counts(prior, L, n, d, budget)[d]

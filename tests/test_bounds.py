@@ -215,6 +215,28 @@ def test_t_recursion_k1_budgets_its_binomial_row(monkeypatch):
             check_t_recursion(3, bounds._TUPLE_BUDGET, k, [1.0] * k, 0)
 
 
+@pytest.mark.parametrize("alpha,gamma", [([1.0, 100], 0.5), ([1.0, 1.0], 700), ([1.0], 1000)])
+def test_t_recursion_overflow_is_typed(alpha, gamma):
+    # K(100) = 4 * 2^100 * 200! and 30^700 leave the float range
+    with pytest.raises(NumericalOverflowError):
+        check_t_recursion(3, 30, len(alpha), alpha, gamma)
+
+
+def test_t_recursion_budgets_its_right_side_terms_before_the_sides(monkeypatch):
+    # n = 30 and k = 2 give 31 tuples, each with M + 1 right-side terms, where
+    # M = ceil(alpha_2 + gamma) = 1 + gamma for an integer gamma
+    top = bounds._TUPLE_BUDGET // 31 - 1    # the largest M admitted
+    with pytest.raises(NumericalOverflowError):     # admitted: C(M, beta) leaves the float range
+        check_t_recursion(3, 30, 2, [1.0, 1.0], top - 1)
+
+    def no_moments(*args):
+        raise AssertionError("a side was computed before the budget was checked")
+    monkeypatch.setattr(bounds, "_centered_binomial_moments", no_moments)
+    for gamma in (top, 1e12):
+        with pytest.raises(ResourceLimitError):
+            check_t_recursion(3, 30, 2, [1.0, 1.0], gamma)
+
+
 def test_t_recursion_validation():
     with pytest.raises(InvalidParameterError):
         check_t_recursion(2, 10, 1, [1], 0)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,13 +129,20 @@ def test_md_count_cli(tmp_path, capsys):
     assert data["counts"] == [1, 6, 48]
 
 
-def test_md_count_cli_refuses_the_top_degree_before_any_move(monkeypatch, capsys):
-    def no_moves(*args):
-        raise AssertionError("a move was built before the budget was checked")
-    monkeypatch.setattr(ldlr, "Counter", no_moves)
-    monkeypatch.setenv("GROUPSYNCH_BUDGET", str(18 ** 3 - 1))     # fits (L n^2)^2 = 324
-    assert main(["md-count", "--prior", "cyclic", "--L", "2", "--n", "3", "--D", "3"]) == 1
-    assert "exceeds the budget of 5831" in capsys.readouterr().err
+def test_md_count_cli_budget_caps_the_walk_transitions(monkeypatch, capsys):
+    # the walk to degree 3 at cyclic L=2, n=3 takes 44 transitions (test_ldlr
+    # derives the count from the partial sums)
+    argv = ["md-count", "--prior", "cyclic", "--L", "2", "--n", "3", "--D", "3"]
+    monkeypatch.setenv("GROUPSYNCH_BUDGET", "44")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == ldlr._md_counts(
+        "cyclic", 2, 3, 3, ldlr.MD_BUDGET)
+    layers = []
+    monkeypatch.setattr(ldlr, "Counter", lambda: layers.append(1) or Counter())
+    monkeypatch.setenv("GROUPSYNCH_BUDGET", "43")
+    assert main(argv) == 1
+    assert "at least 44 walk transitions, past the budget of 43" in capsys.readouterr().err
+    assert len(layers) == 2     # the top layer is never built
 
 
 def test_bounds_cli(capsys):

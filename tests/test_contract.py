@@ -10,9 +10,8 @@ keep their valid values.  Each call must return or raise a
 
 Sizes that no budget bounds yet get no ints past int64, so that no case
 allocates much memory or runs long: the samplers' n and L, the Monte-Carlo
-table's n, D and samples, the degree loops of the exact routes, the trial
-and seed counts, and the t-recursion's alpha and gamma, whose constant and
-sum grow with them.
+table's n, D and samples, the degree loops of the exact routes, and the trial
+and seed counts.
 """
 import importlib
 import math
@@ -45,7 +44,7 @@ SPECS = {
         dict(n=10, alpha=1.0, p=0.5), "n", "alpha p", ""),
     "bounds.check_t_recursion": (
         lambda L, n, k, a, gamma: bounds.check_t_recursion(L, n, k, [1.0, a], gamma),
-        dict(L=3, n=5, k=2, a=1.0, gamma=0.5), "L n k", "a gamma", "a gamma"),
+        dict(L=3, n=5, k=2, a=1.0, gamma=0.5), "L n k", "a gamma", ""),
     "bounds.check_l3_moment_bound": (bounds.check_l3_moment_bound, dict(n=27, d_max=3),
                                      "n d_max", "", ""),
     "detect.DetectorConfig": (detect.DetectorConfig,

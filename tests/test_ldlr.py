@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -249,8 +250,10 @@ def test_enumeration_budget_enforced():
         ldlr_exact_multinomial(3, 10 ** 5, 0.5, 2, budget=10 ** 4)
     with pytest.raises(ResourceLimitError):
         ldlr_bruteforce_signals(3, 30, 0.5, 2)
+    work = _walk_transitions("cyclic", 4, 4, 3)
+    assert md_count("cyclic", 4, 4, 3, work) == md_count("cyclic", 4, 4, 3)
     with pytest.raises(ResourceLimitError):
-        md_count("cyclic", 4, 20, 6)
+        md_count("cyclic", 4, 4, 3, work - 1)
 
 
 def test_report_invariants_and_monotonicity():
@@ -384,6 +387,14 @@ def test_float_overflow_is_typed_without_a_warning(monkeypatch, lam, first):
         ldlr_exact_multinomial(3, 5, lam, 3)
 
 
+def test_rational_routes_asked_for_floats_past_the_float_range_raise_typed():
+    # the terms are exact rationals; lam^4 = 1e1200 has no float
+    with pytest.raises(NumericalOverflowError, match="float range"):
+        ldlr_bruteforce_signals(2, 3, 1e300, 2, exact=False)
+    with pytest.raises(NumericalOverflowError, match="float range"):
+        ldlr_from_md("circle", 2, 3, 1e300, 2)
+
+
 # ---------------------------------------------------------------------------
 # Tuple-family counting
 # ---------------------------------------------------------------------------
@@ -447,30 +458,73 @@ def test_md_count_matches_naive_enumeration():
         assert [md_count(prior, L, n, k) for k in range(d + 1)] == want
 
 
-@pytest.mark.parametrize("call", [
-    lambda budget: md_count("cyclic", 2, 3, 3, budget),
-    lambda budget: ldlr_from_md("cyclic", 2, 3, 0.5, 3, budget=budget),
-    lambda budget: ldlr_from_md("circle", 2, 3, 0.5, 3, exact=True, budget=budget),
+def _walk_transitions(prior, L, n, D):
+    """The md walk's work, from the partial sums themselves rather than their orbits.
+
+    Layer d holds the orbits (sorted nonzero entries, mod L on the cyclic prior)
+    of the sums that d moves reach and whose k nonzeros can still return to
+    zero, k <= 2(D - d); each orbit in layers 0..D-1 costs L (k^2 + k + 2).
+    """
+    reduce = (lambda x: x % L) if prior == "cyclic" else (lambda x: x)
+    moves = [[ell * ((i == a) - (i == b)) for i in range(n)]
+             for ell in range(1, L + 1) for a in range(n) for b in range(n)]
+    sums, work = {(0,) * n}, 0
+    for d in range(D):
+        orbits = {tuple(sorted(x for x in v if x)) for v in sums}
+        work += sum(L * (len(o) ** 2 + len(o) + 2) for o in orbits if len(o) <= 2 * (D - d))
+        sums = {tuple(reduce(x + m) for x, m in zip(v, mv)) for v in sums for mv in moves}
+    return work
+
+
+@pytest.mark.parametrize("prior,call", [
+    ("cyclic", lambda budget: md_count("cyclic", 2, 3, 3, budget)),
+    ("cyclic", lambda budget: ldlr_from_md("cyclic", 2, 3, 0.5, 3, budget=budget)),
+    ("circle", lambda budget: ldlr_from_md("circle", 2, 3, 0.5, 3, exact=True, budget=budget)),
 ], ids=["md_count", "ldlr_from_md-cyclic", "ldlr_from_md-circle"])
-def test_md_budget_refuses_the_top_degree_before_any_move(monkeypatch, call):
-    def no_moves(*args):
-        raise AssertionError("a move was built before the budget was checked")
-    monkeypatch.setattr(ldlr, "Counter", no_moves)
-    with pytest.raises(ResourceLimitError):     # (L n^2)^2 = 324 fits, (L n^2)^3 does not
-        call(18 ** 3 - 1)
+def test_md_budget_caps_the_walk_transitions_before_the_top_layer(monkeypatch, prior, call):
+    work = _walk_transitions(prior, 2, 3, 3)
+    assert call(work) == call(ldlr.MD_BUDGET)
+    layers = []
+    monkeypatch.setattr(ldlr, "Counter", lambda: layers.append(1) or Counter())
+    with pytest.raises(ResourceLimitError, match=f"at least {work} walk transitions"):
+        call(work - 1)
+    assert len(layers) == 2     # degrees 1 and 2; the top layer is never built
 
 
-def test_md_degree_zero_builds_no_move_and_the_move_table_is_budgeted(monkeypatch):
-    def no_moves(*args):
-        raise AssertionError("a move was built")
-    monkeypatch.setattr(ldlr, "Counter", no_moves)
-    assert ldlr._md_counts("circle", 1, 400, 0, ldlr.MD_BUDGET) == [1]
-    assert md_count("cyclic", 3, 10 ** 4, 0) == 1
-    # (L n^2)^1 = 1e8 fits the default budget; the table's L n^3 = 1e12 entries do not
-    with pytest.raises(ResourceLimitError, match="move table"):
-        md_count("circle", 1, 10 ** 4, 1)
-    with pytest.raises(ResourceLimitError):     # a huge degree, refused by its logarithm
+def test_md_refuses_a_degree_past_the_budget_before_any_layer(monkeypatch):
+    def no_layer(*args):
+        raise AssertionError("a layer was built")
+    monkeypatch.setattr(ldlr, "Counter", no_layer)
+    assert ldlr._md_counts("circle", 1, 10 ** 6, 0, 1) == [1]
+    # every one of the D layers holds the empty orbit, with its 2L transitions
+    with pytest.raises(ResourceLimitError, match="at least 60 walk transitions"):
+        md_count("cyclic", 3, 10 ** 4, 10, 59)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
         md_count("circle", 1, 3, 10 ** 9)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_md_degree_one_at_large_n_is_one_layer_of_2L_transitions():
+    # a = b at any frequency gives the L n tuples of degree one (plus the
+    # n (n - 1) zero moves a != b at l = L mod L); the one layer costs 2L whatever n
+    assert md_count("circle", 1, 10 ** 4, 1) == 10 ** 4
+    assert md_count("cyclic", 5, 10 ** 4, 1, 10) == 5 * 10 ** 4 + 10 ** 4 * (10 ** 4 - 1)
+    with pytest.raises(ResourceLimitError):
+        md_count("cyclic", 5, 10 ** 4, 1, 9)
+
+
+@pytest.mark.parametrize("L,D", [(1, 8), (2, 7), (3, 6)])
+def test_md_circle_moments_approach_the_gamma_limit(L, D):
+    # Q / n, with Q the all-frequency statistic of the circle prior, tends to a
+    # Gamma(L, 1) variable, whose D-th moment is the rising factorial (L)_D.  The
+    # coincidences among the D index pairs shift E[Q^D] / n^D by a relative
+    # O(D^2 / n): at L = 1, E|sum_a x_a|^(2D) sums (D! / prod m!)^2 over the
+    # multisets m of D indices, and its first-order term is -D (D - 1) / (4n).
+    # The tolerance takes that order with a unit constant.
+    n = 10 ** 6
+    rising = math.prod(range(L, L + D))
+    assert abs(Fraction(md_count("circle", L, n, D), n ** D) / rising - 1) <= Fraction(D * D, n)
 
 
 def test_ldlr_from_md_circle_degree_one():
