@@ -3,10 +3,11 @@
 ``tests/golden.json`` maps each output to the SHA-256 of its bytes and a
 short digest of each line, so a mismatch names the first line that moved.
 The outputs are the oracle-suite CSV (seed 2024), the default and four-route
-ldlr-sweep CSVs (seed 7), ``md-count`` JSON and ``ldlr --method md
---rational`` JSON on both priors, and the stdout of demo 04.  None of them
-records a wall time or a library version; the suite manifests, which do, are
-left out.  Outputs that go through LAPACK eigen paths are left out as well.
+ldlr-sweep CSVs (seed 7), the bound-suite and phase-diagram CSVs (seed 1),
+``md-count`` JSON and ``ldlr --method md --rational`` JSON on both priors,
+and the stdout of demo 04.  None of them records a wall time or a library
+version; the suite manifests, which do, are left out.  Outputs that go
+through LAPACK eigen paths are left out as well.
 
 A change that moves an output by design rewrites the file with
 
@@ -42,6 +43,8 @@ def _outputs() -> dict:
             "oracle-suite.csv": ["suite", "--kind", "oracle-suite", "--seed", "2024", "--csv"],
             "ldlr-sweep.csv": ["suite", "--kind", "ldlr-sweep", "--seed", "7", "--csv"],
             "ldlr-sweep-routes.csv": ["suite", "--config", str(tmp / "routes.json"), "--csv"],
+            "bound-suite.csv": ["suite", "--kind", "bound-suite", "--seed", "1", "--csv"],
+            "phase-diagram.csv": ["phase-diagram", "--seed", "1", "--out"],
         }
         for prior in ("circle", "cyclic"):
             runs[f"md-count-{prior}.json"] = ["md-count", "--prior", prior, *md, "--out"]
