@@ -10,7 +10,11 @@ two moment primitives:
     of :func:`_centered_binomial_moments`.  That primitive computes each
     binomial pmf row once for any number of exponents, so ``_clt_checks``,
     which the bound suite calls once per (distribution, n), checks every
-    alpha of a grid from one row, with the same left sides bit for bit.
+    alpha of a grid from one row, with the same left sides bit for bit.  Its
+    sums are exact and rounded once, as ``math.fsum``'s are: rows of at least
+    ``_FSUM_BELOW`` entries add their mantissas in integer limbs, shorter
+    rows, where ``fsum`` is faster, go to ``fsum``, and both give the same
+    bits (:func:`_exact_row_sums`).
 
   * :func:`check_t_recursion` — the one-variable elimination step for
     moments of multinomial counts.  With T_{k,alpha} the product of the
@@ -66,21 +70,81 @@ def _moment_constant(a: float) -> float:
     return 4.0 * 2.0 ** a * math.gamma(2 * a + 1)
 
 
+# Rows shorter than this go to math.fsum, which is faster on them: the bound
+# suite's t-recursion blocks (at most 31 x 31) and its CLT rows at n <= 100
+_FSUM_BELOW = 128
+# Rows longer than this go to fsum too: 2^21 limb pieces below 2^32 sum below 2^53
+_LIMB_COLUMNS = 1 << 21
+_LIMBS = 66     # 32-bit limbs from 2^-1074 to past 2^1024, with a shifted mantissa's 84 bits
+_M32 = np.uint64(0xFFFFFFFF)
+
+
+def _limb_sums(x: np.ndarray) -> np.ndarray:
+    """The exact sum of each row of ``x`` (2-D, finite, >= 0, at most
+    ``_LIMB_COLUMNS`` columns), correctly rounded as math.fsum's is, or
+    OverflowError past the float range.
+
+    Entry bits say value = mantissa * 2^(shift - 1074), shift in 0..2045.  The
+    mantissa, shifted left by shift mod 32, spans three 32-bit limbs from limb
+    shift // 32; one np.bincount per piece adds them up per (row, limb), and
+    each float sum stays below 2^53, so it is exact.  The limbs, even and odd
+    ones each laid out without overlap, become one Python int per row, and its
+    true division by 2^1074 rounds once."""
+    rows = len(x)
+    bits = x.view(np.uint64)
+    shift = np.maximum(bits >> 52, 1) - 1      # subnormals share the smallest normal's
+    mant = bits - (shift << 52)                # implicit bit restored for normals
+    at = ((shift >> 5).astype(np.intp) + (np.arange(rows) * _LIMBS)[:, None]).ravel()
+    r = shift & 31
+    pieces = ((mant << r) & _M32, (mant >> (32 - r)) & _M32, (mant >> 32) >> (32 - r))
+    limbs = sum(np.bincount(at + j, piece.ravel(), rows * _LIMBS)
+                for j, piece in enumerate(pieces))
+    pairs = limbs.astype("<u8").reshape(rows, _LIMBS // 2, 2)
+    even, odd = pairs[:, :, 0].tobytes(), pairs[:, :, 1].tobytes()
+    width = 4 * _LIMBS
+    return np.array([(int.from_bytes(even[i:i + width], "little")
+                      + (int.from_bytes(odd[i:i + width], "little") << 32)) / (1 << 1074)
+                     for i in range(0, len(even), width)])
+
+
+def _exact_row_sums(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of the 2-D float array ``x``, bit for bit: rows of at
+    least ``_FSUM_BELOW`` and at most ``_LIMB_COLUMNS`` entries, all finite and
+    >= 0, by :func:`_limb_sums` in blocks of about ldlr._CHUNK_ENTRIES / 4
+    entries; the rest (those holding a negative, inf or NaN among them) by fsum.
+    A sum past the float range raises OverflowError either way."""
+    if not _FSUM_BELOW <= x.shape[1] <= _LIMB_COLUMNS:
+        return np.array([math.fsum(row) for row in x], dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty(len(x))
+    limb = (x.view(np.uint64) < 0x7FF0000000000000).all(axis=1)    # >= 0 and finite
+    for i in np.flatnonzero(~limb):
+        out[i] = math.fsum(x[i])
+    which = np.flatnonzero(limb)
+    step = max(1, _CHUNK_ENTRIES // 4 // x.shape[1])
+    for start in range(0, len(which), step):
+        out[which[start:start + step]] = _limb_sums(x[which[start:start + step]])
+    return out
+
+
 def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha) -> np.ndarray:
     """E |Binomial(m_i, p) - m_i p|^a for each m_i and each exponent a of
     ``two_alpha`` (a scalar or a list), exactly, of shape m.shape + shape of
     ``two_alpha``: one binom.pmf call per chunk of ldlr._CHUNK_ENTRIES entries,
-    shared by every exponent, and one fsum per row and exponent (pmf 0 past m_i)."""
+    shared by every exponent, and one :func:`_exact_row_sums` call per chunk
+    over its rows for all exponents at once (pmf 0 past m_i)."""
     from scipy.stats import binom   # here: at module level it doubles the import time
     rows = max(1, _CHUNK_ENTRIES // (int(m.max()) + 1))
+    exponents = np.ravel(two_alpha)
     out = []
     for start in range(0, len(m), rows):
         mc = m[start:start + rows, None]
         ks = np.arange(mc.max() + 1)
         pmf, dev = binom.pmf(ks, mc, p), np.abs(ks - mc * p)
-        sums = [[math.fsum(row) for row in pmf * dev ** a] for a in np.ravel(two_alpha)]
-        out += zip(*sums)       # one tuple over the exponents per row
-    return np.array(out).reshape(np.shape(m) + np.shape(two_alpha))
+        # one block per exponent, each power taken as the scalar power it always was
+        terms = np.concatenate([pmf * dev ** a for a in exponents])
+        out.append(_exact_row_sums(terms).reshape(len(exponents), -1).T)
+    return np.concatenate(out).reshape(np.shape(m) + np.shape(two_alpha))
 
 
 # exponents up to 10, and sums of up to 1e4 terms, one binomial pmf row each

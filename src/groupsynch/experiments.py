@@ -57,6 +57,8 @@ _ROUTES = {
     "mc": ({"circle": ("all_frequencies",), "cyclic": ("pearson",)}, False),
 }
 _PRIORS = tuple(sorted({prior for stats, _ in _ROUTES.values() for prior in stats}))
+# The rule each route's own entry checks L against; mc's is its model's (Model.from_name)
+_ROUTE_L = {"exact": ORDER, "brute": ORDER, "md": SIZE}
 
 _DEFAULT_PARAMS = {
     "ldlr-sweep": {
@@ -130,13 +132,14 @@ class _Instance(tuple):
 # that reads it, for the value or each entry of a grid.  mc_samples is checked only
 # where mc runs.  The choice keys prior, methods, model and groups are looked up instead.
 _PARAM_RULES = {
-    "ldlr-sweep": {"L_grid": SIZE, "n_grid": SIZE, "snr_grid": NONNEGATIVE, "D": COUNT,
-                   "mc_samples": ldlr_mod._MC_SAMPLES},
+    "ldlr-sweep": {"L_grid": SIZE, "n_grid": SIZE, "snr_grid": NONNEGATIVE,
+                   "D": ldlr_mod._DEGREES, "mc_samples": ldlr_mod._MC_SAMPLES},
     "power-sweep": {"L": SIZE, "n": SIZE, "snr_grid": NONNEGATIVE, "trials": SIZE,
                     "alpha": PROBABILITY, "calibration_trials": _CALIBRATION_TRIALS},
     "oracle-suite": {"exact_instances": _Instance((ORDER, SIZE)),
                      "md_instances": _Instance((ORDER, SIZE)),
-                     "snr": NONNEGATIVE, "D": COUNT, "mc_samples": ldlr_mod._MC_SAMPLES},
+                     "snr": NONNEGATIVE, "D": ldlr_mod._DEGREES,
+                     "mc_samples": ldlr_mod._MC_SAMPLES},
     "bound-suite": {"clt_n": bounds_mod._CLT_N, "clt_alpha": bounds_mod._CLT_ALPHA,
                     "clt_bernoulli_p": PROBABILITY, "trec_L": bounds_mod._T_RECURSION_L,
                     "trec_n": COUNT, "trec_alpha_sum": COUNT, "trec_gamma": NONNEGATIVE,
@@ -216,6 +219,14 @@ class ExperimentConfig:
             raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
             _check_route(method, self.params["prior"], None, False, "params.methods")
+            for L in self.params["L_grid"]:     # and the L rule of each chosen route
+                try:
+                    if method == "mc":
+                        models_mod.Model.from_name(self.params["prior"], L)
+                    else:
+                        _ROUTE_L[method].check("L", L)
+                except InvalidParameterError as exc:
+                    raise ConfigError("params.L_grid", f"the {method} route: {exc}") from exc
         if self.kind == "power-sweep":     # L is read only by a bare circle or cyclic
             model, L = self.params["model"], self.params["L"]
             try:
@@ -223,6 +234,15 @@ class ExperimentConfig:
             except (InvalidParameterError, TypeError) as exc:
                 raise ConfigError("params.L" if model in ("circle", "cyclic") else "params.model",
                                   str(exc)) from exc
+
+        if self.kind == "phase-diagram":
+            try:
+                D = _phase_degree(self.params)
+            except OverflowError:       # n^D_exponent past the float range
+                D = math.inf
+            if not ldlr_mod._DEGREES.holds(D):
+                raise ConfigError("params.D_exponent",
+                                  f"the degree n^D_exponent must be {ldlr_mod._DEGREES}")
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": self.params,
@@ -507,6 +527,12 @@ def _run_equivalence_suite(cfg: ExperimentConfig):
     return rows
 
 
+def _phase_degree(p) -> int:
+    """The phase diagram's degree, max(1, floor(n^D_exponent)), in floats, so a
+    huge exponent raises OverflowError rather than building a huge integer."""
+    return max(1, int(float(p["n"]) ** p["D_exponent"]))
+
+
 def _run_phase_diagram(cfg: ExperimentConfig):
     """Markers and cumulatives per (L, snr) from one report per L, at snr 1.
 
@@ -519,7 +545,7 @@ def _run_phase_diagram(cfg: ExperimentConfig):
     for L in p["L_grid"]:
         lb = stat_threshold_lower_bound(L)
         ub = stat_threshold_upper_bound(L)
-        D = max(1, int(p["n"] ** p["D_exponent"]))
+        D = _phase_degree(p)
         try:
             method, rep = "exact", _ldlr_report("exact", "cyclic", L, p["n"], 1.0, D, **route)
         except ResourceLimitError:

@@ -25,8 +25,10 @@ Routes:
     only way both statistics depend on the counts (rationals or log floats).
     The law comes from a dynamic programme over cells that sorts each cell's
     states on one int64 key; the float path reduces a block of degrees at
-    once with one log-sum-exp along Q.  Every term is bit for bit what a
-    lexicographic (mass, Q) sort and one log-sum-exp per degree give;
+    once with one log-sum-exp along Q.  That log-sum-exp is local
+    (``_logsumexp_rows``), and the tests check it ``==`` to SciPy's.  Every
+    term is bit for bit what a lexicographic (mass, Q) sort and one SciPy
+    log-sum-exp per degree give;
   * :func:`ldlr_bruteforce_signals` visits all L^n signal assignments, in
     NumPy chunks of their base-L digits, and tallies 2s on each (the
     independent oracle for the multinomial route: it shares no code with the
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from ._rules import COUNT, NONNEGATIVE, ORDER, REAL, SIZE, integer
 from .eigen import _single_thread_blas
@@ -89,6 +91,12 @@ DEFAULT_BUDGET = 10 ** 7
 # block and its temporaries stay in cache): degrees by values of Q in the
 # float multinomial route, samples by signal entries in the Monte-Carlo draws
 _CHUNK_ENTRIES = 1 << 16
+
+# Degrees D the exact, brute-force and Monte-Carlo routes take, checked before
+# their first degree and any allocation: past the largest D of the suites, demos
+# and benchmark (60) and of the tests below the rule (110), and the D ~ n^(1/3)
+# regime up to n = 1e9.  md's walk budget bounds its D instead.
+_DEGREES = integer(0, 1000)
 
 
 @dataclass(frozen=True)
@@ -180,12 +188,29 @@ def moment_table(L: int, n: int, D: int, exact: bool = False,
 # Exact multinomial route
 # ---------------------------------------------------------------------------
 
-def _check_route_args(L: int, n: int, lam, D: int, budget: int, L_rule=ORDER) -> None:
+def _check_route_args(L: int, n: int, lam, D: int, budget: int, L_rule=ORDER,
+                      D_rule=_DEGREES) -> None:
     L_rule.check("L", L)
     SIZE.check("n", n)
     SIZE.check("budget", budget)
     NONNEGATIVE.check("lam", lam)
-    COUNT.check("D", D)
+    D_rule.check("D", D)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a finite 2-D float array, by the steps of
+    ``scipy.special.logsumexp(a, axis=1)`` (SciPy 1.17), so bit for bit equal to
+    it: the row max is taken out, the m entries equal to it are counted apart
+    from the sum s of the others' exp(a - max), and the result is
+    log1p(s / m) + log(m) + max."""
+    top = a.max(axis=1, keepdims=True)
+    at_top = a == top
+    m = at_top.sum(axis=1, keepdims=True, dtype=float)
+    shifted = a - top
+    shifted[at_top] = -np.inf
+    s = np.exp(shifted).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + top)[:, 0]
 
 
 def _expand_over_mass(rest: np.ndarray):
@@ -238,7 +263,7 @@ def _occupancy_law(L: int, n: int, exact: bool):
             mass, q = mass[first], q[first]
     # normalising by the weights' own log-sum-exp, rather than subtracting
     # n log L, cancels the rounding of log n! that every log weight shares
-    return q, weight if exact else weight - logsumexp(weight)
+    return q, weight if exact else weight - _logsumexp_rows(weight[None, :])
 
 
 def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
@@ -250,7 +275,10 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
     with log-sum-exp, so large n and d stay finite.  It takes the degrees in
     blocks of at most ``_CHUNK_ENTRIES`` (degree, Q) entries, one log-sum-exp
     along Q per block; each row equals that degree's own one-dimensional
-    log-sum-exp bit for bit.  A term past the float range raises
+    log-sum-exp bit for bit.  The log-sum-exp, of the blocks and of the law's
+    own normalisation, is the local ``_logsumexp_rows``, tested ``==`` to
+    ``scipy.special.logsumexp``.  ``D`` meets ``_DEGREES`` (at most 1000)
+    before anything is computed.  A term past the float range raises
     :class:`NumericalOverflowError` naming its degree, before any ``exp``.
     ``budget`` caps the count vectors C(n+L-1, L-1), which bound the law's
     largest array; an n whose sort key would pass int64 (L >= 3, n above
@@ -287,7 +315,7 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
         # one-dimensional reduction of that degree bit for bit
         d = np.arange(start, min(start + rows, D + 1))
         log_td = 2 * d * log_lam \
-            + logsumexp(logw + d[:, None] * logs, axis=1) - d * np.log(n) - gammaln(d + 1)
+            + _logsumexp_rows(logw + d[:, None] * logs) - d * np.log(n) - gammaln(d + 1)
         bad = np.flatnonzero(~(log_td <= log_max))     # a NaN counts as overflow
         if len(bad):
             raise NumericalOverflowError(f"term {d[bad[0]]} overflowed; rerun with exact=True")
@@ -354,7 +382,7 @@ def _md_counts(prior: str, L: int, n: int, D: int, budget: int) -> list:
     """:func:`md_count` at every degree 0..D, from one walk over S_n orbits."""
     if prior not in ("circle", "cyclic"):
         raise InvalidParameterError(f"unknown prior {prior!r}")
-    _check_route_args(L, n, 0, D, budget, SIZE)
+    _check_route_args(L, n, 0, D, budget, SIZE, COUNT)
     # entries mod L on the cyclic prior; on the circle |entry| <= L D < modulus / 2
     modulus = L if prior == "cyclic" else 2 * L * D + 1
     orbit = lambda v: tuple(sorted(filter(None, [x % modulus for x in v])))   # nonzeros
@@ -496,7 +524,7 @@ def ldlr_montecarlo_overlap(model: Model, n: int, D: int, samples: int,
     Memory is O(samples * (n + D)) for the circle prior; finite priors draw
     their signals in chunks and hold O(samples * (order + D)) plus one chunk.
     """
-    COUNT.check("D", D)
+    _DEGREES.check("D", D)
     _MC_SAMPLES.check("samples", samples)
     omega = sample_overlaps(model, n, samples, seed)
     # omega >= 0: each product below is at most max(omega)^d / (d-1)!, and the

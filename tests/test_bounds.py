@@ -103,6 +103,103 @@ def test_centered_binomial_moments_share_one_pmf_row_across_exponents(monkeypatc
     assert got.shape == (41, 4) and got.tolist() == want.tolist()
 
 
+def _fsums(x):
+    return [math.fsum(row) for row in x]
+
+
+def _same(got, want):
+    """Equal bit for bit, NaN included."""
+    return np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_exact_row_sums_equal_fsum_on_the_default_clt_rows():
+    alphas = [0.5, 1, 1.5, 2, 3, 4, 5, 6, 8, 10]
+    for p in (0.5, 0.1, 0.25, 1 / 3, 2 / 3, 0.9):
+        for n in (30, 100, 300, 1000, 3000, 10000):
+            ks = np.arange(n + 1)
+            pmf, dev = binom.pmf(ks, n, p), np.abs(ks - n * p)
+            x = np.stack([pmf * dev ** (2 * a) for a in alphas])
+            want = _fsums(x)
+            assert _same(bounds._exact_row_sums(x), want), (p, n)
+            assert _same(bounds._limb_sums(x), want), (p, n)
+
+
+def test_exact_row_sums_equal_fsum_from_subnormals_to_2_to_the_1000():
+    rng = np.random.default_rng(5)
+    for cols in (1, 2, 3, 50, bounds._FSUM_BELOW, 1000):
+        # exponents across the whole range, a mantissa of random bits, and exact zeros
+        x = np.ldexp(rng.random((40, cols)), rng.integers(-1074, 1001, (40, cols)))
+        x[rng.random((40, cols)) < 0.2] = 0.0
+        x[0] = 0.0
+        x[1] = 5e-324
+        want = _fsums(x)
+        assert _same(bounds._exact_row_sums(x), want), cols
+        assert _same(bounds._limb_sums(x), want), cols
+
+
+def test_exact_row_sums_single_entries_and_a_sum_in_the_subnormal_range():
+    single = np.array([[0.0], [5e-324], [2.2250738585072014e-308], [1.0], [1.7976931348623157e308]])
+    assert _same(bounds._limb_sums(single), single[:, 0])
+    assert _same(bounds._exact_row_sums(single), single[:, 0])
+    # subnormals summing to a subnormal, and to a normal
+    tiny = np.ldexp(np.arange(1.0, bounds._FSUM_BELOW + 1), [[-1074], [-1030]])
+    want = _fsums(tiny)
+    assert want[0] < 2.2250738585072014e-308 < want[1] and tiny.max() < 2.2250738585072014e-308
+    assert _same(bounds._exact_row_sums(tiny), want) and _same(bounds._limb_sums(tiny), want)
+
+
+@pytest.mark.parametrize("cols", [bounds._FSUM_BELOW - 1, bounds._FSUM_BELOW])
+def test_exact_row_sums_with_inf_nan_or_negatives_keep_fsum(cols):
+    rng = np.random.default_rng(cols)
+    x = rng.random((6, cols))
+    x[0, 3], x[1, 0], x[2, -1] = math.inf, math.nan, -0.25
+    x[3, 1], x[3, 2] = math.inf, math.nan
+    x[4, 5] = -0.0
+    assert _same(bounds._exact_row_sums(x), _fsums(x))
+
+
+@pytest.mark.parametrize("cols", [bounds._FSUM_BELOW - 1, bounds._FSUM_BELOW])
+def test_both_sums_equal_fsum_on_each_side_of_the_cutover(cols):
+    rng = np.random.default_rng(cols)
+    x = np.exp(rng.uniform(-745, 700, (37, cols)))
+    want = _fsums(x)
+    assert _same(bounds._limb_sums(x), want)
+    assert _same(bounds._exact_row_sums(x), want)
+
+
+def test_limb_sums_stay_exact_at_the_longest_row_they_take():
+    # an all-ones mantissa at a shift divisible by 32 puts 2^32 - 1 in the lowest limb
+    # of every entry: 2^21 of them sum to 2^53 - 2^21, still exact
+    top = (2 - 2.0 ** -52) * 2.0 ** -1011
+    x = np.full((1, bounds._LIMB_COLUMNS), top)
+    assert bounds._limb_sums(x)[0] == top * 2 ** 21
+    assert bounds._exact_row_sums(x)[0] == top * 2 ** 21
+    longer = np.full((1, bounds._LIMB_COLUMNS + 1), 1.0)      # past it: fsum
+    assert bounds._exact_row_sums(longer)[0] == 2 ** 21 + 1
+
+
+def test_a_row_sum_past_the_float_range_raises_overflow_like_fsum():
+    for cols in (bounds._FSUM_BELOW - 1, bounds._FSUM_BELOW):
+        x = np.full((2, cols), 1e307)
+        x[0] = 1.0
+        with pytest.raises(OverflowError):
+            math.fsum(x[1])
+        with pytest.raises(OverflowError):
+            bounds._exact_row_sums(x)
+    with pytest.raises(OverflowError):
+        bounds._limb_sums(x)
+
+
+def test_t_recursion_turns_an_overflowing_moment_sum_into_a_typed_error(monkeypatch):
+    # no pmf row passes the float range while its entries are finite (each is at most
+    # its pmf times the largest deviation's power), so the sum is fed a row that does
+    real = bounds._exact_row_sums
+    monkeypatch.setattr(bounds, "_exact_row_sums",
+                        lambda x: real(np.full((len(x), bounds._FSUM_BELOW), 1e307)))
+    with pytest.raises(NumericalOverflowError):
+        check_t_recursion(3, 10, 2, [1.0, 1.0], 0)
+
+
 def test_clt_batch_matches_each_point_of_the_default_grid():
     alphas = [0, 0.5, 1, 1.5, 2, 3, 4, 5, 6, 8, 10]
     distros = ["rademacher"] + [("bernoulli", p) for p in (0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.9)]

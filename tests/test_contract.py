@@ -10,11 +10,13 @@ keep their valid values.  Each call must return or raise a
 
 Sizes that no budget bounds yet get no ints past int64, so that no case
 allocates much memory or runs long: the samplers' n and L, the Monte-Carlo
-table's n, D and samples, the degree loops of the exact routes, and the trial
-and seed counts.
+table's n and samples, and the trial and seed counts.  D meets ``ldlr._DEGREES``
+(md's D its walk budget) before the first degree, so D is drawn past int64
+everywhere.
 """
 import importlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -93,13 +95,13 @@ SPECS = {
                                    dict(group=_GROUP, irreps=_FULL, tol=1e-10), "", "tol", ""),
     "ldlr.first_moment_via_binomial": (ldlr.first_moment_via_binomial, dict(L=3, n=4),
                                        "L n", "", ""),
-    "ldlr.moment_table": (ldlr.moment_table, dict(L=3, n=4, D=2), "L n D", "", "D"),
+    "ldlr.moment_table": (ldlr.moment_table, dict(L=3, n=4, D=2), "L n D", "", ""),
     "ldlr.ldlr_exact_multinomial": (ldlr.ldlr_exact_multinomial,
                                     dict(L=3, n=4, lam=0.5, D=2, budget=10 ** 7),
-                                    "L n D budget", "lam", "D"),
+                                    "L n D budget", "lam", ""),
     "ldlr.ldlr_bruteforce_signals": (ldlr.ldlr_bruteforce_signals,
                                      dict(L=3, n=4, lam=0.5, D=2, budget=10 ** 7),
-                                     "L n D budget", "lam", "D"),
+                                     "L n D budget", "lam", ""),
     "ldlr.md_count": (ldlr.md_count, dict(prior="cyclic", L=2, n=3, d=2, budget=10 ** 8),
                       "L n d budget", "", ""),
     "ldlr.ldlr_from_md": (ldlr.ldlr_from_md,
@@ -108,7 +110,7 @@ SPECS = {
     "ldlr.ldlr_montecarlo_overlap": (ldlr.ldlr_montecarlo_overlap,
                                      dict(model=models.Model("cyclic", L=3, snr=0.5), n=4, D=2,
                                           samples=100, seed=1),
-                                     "n D samples seed", "", "n D samples"),
+                                     "n D samples seed", "", "n samples"),
     "ldlr.sample_overlaps": (ldlr.sample_overlaps,
                              dict(model=models.Model("cyclic", L=3, snr=0.5), n=4, samples=10,
                                   seed=1),
@@ -221,6 +223,21 @@ def test_inputs_once_untyped_or_accepted_are_refused(call):
     with pytest.raises(InvalidParameterError) as exc:
         call()
     assert type(exc.value) is InvalidParameterError
+
+
+_DEGREE_ENTRIES = {name: SPECS[name] for name in (
+    "ldlr.moment_table", "ldlr.ldlr_exact_multinomial", "ldlr.ldlr_bruteforce_signals",
+    "ldlr.ldlr_montecarlo_overlap")}
+
+
+@pytest.mark.parametrize("name", _DEGREE_ENTRIES)
+@pytest.mark.parametrize("D", [ldlr._DEGREES.high + 1, 2 ** 63])
+def test_a_degree_past_the_rule_is_refused_at_once(name, D):
+    call, valid, *_ = _DEGREE_ENTRIES[name]
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameterError, match="^D must be an integer in"):
+        call(**{**valid, "D": D})
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("seed", [1.7, True, -1, "1"])

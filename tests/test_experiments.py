@@ -86,6 +86,14 @@ def test_config_typos_name_the_field(data, field):
     ("bound-suite", {"clt_n": [30.0]}, "params.clt_n"),
     ("bound-suite", {"clt_bernoulli_p": [0.5, 1.0]}, "params.clt_bernoulli_p"),
     ("bound-suite", {"clt_bernoulli_p": [0]}, "params.clt_bernoulli_p"),
+    ("ldlr-sweep", {"D": 1001}, "params.D"),
+    ("oracle-suite", {"D": 2 ** 63}, "params.D"),
+    ("ldlr-sweep", {"methods": ["exact"], "L_grid": [1, 3]}, "params.L_grid"),
+    ("ldlr-sweep", {"methods": ["md", "brute"], "L_grid": [1]}, "params.L_grid"),
+    ("ldlr-sweep", {"methods": ["md", "mc"], "L_grid": [1]}, "params.L_grid"),
+    ("phase-diagram", {"D_exponent": 3}, "params.D_exponent"),    # 16^3 degrees
+    ("phase-diagram", {"D_exponent": 400.5}, "params.D_exponent"),
+    ("phase-diagram", {"D_exponent": 10 ** 9}, "params.D_exponent"),
 ])
 def test_config_scalars_and_clt_grids_name_the_field(kind, params, field):
     with pytest.raises(ConfigError) as exc:
@@ -95,7 +103,12 @@ def test_config_scalars_and_clt_grids_name_the_field(kind, params, field):
 
 def test_config_accepts_the_edges_of_each_rule():
     for kind, params in (("ldlr-sweep", {"methods": ["exact"], "mc_samples": 50, "D": 0}),
-                         ("ldlr-sweep", {"mc_samples": 100}),
+                         ("ldlr-sweep", {"mc_samples": 100, "D": 1000}),
+                         ("oracle-suite", {"D": 1000}),
+                         ("phase-diagram", {"n": 1000, "D_exponent": 1}),
+                         ("ldlr-sweep", {"methods": ["md"], "L_grid": [1, 2]}),
+                         ("ldlr-sweep", {"methods": ["md", "mc"], "prior": "circle",
+                                         "L_grid": [1]}),
                          ("bound-suite", {"clt_alpha": [0, 10], "clt_n": [1, 10 ** 4],
                                           "clt_bernoulli_p": [1e-9, 1 - 1e-9]})):
         ExperimentConfig.from_dict({"kind": kind, "seed": 1, "params": params})

@@ -344,12 +344,11 @@ def test_chunked_degrees_equal_one_chunk(monkeypatch, rows):
     law = _reference_law(L, n, False)
     blocks = []
 
-    def logsumexp_recorded(a, axis=None):
-        if a.ndim == 2:
-            blocks.append(a.shape)
-        return logsumexp(a, axis=axis)
+    def logsumexp_recorded(a):
+        blocks.append(a.shape)
+        return logsumexp(a, axis=1)
 
-    monkeypatch.setattr(ldlr, "logsumexp", logsumexp_recorded)
+    monkeypatch.setattr(ldlr, "_logsumexp_rows", logsumexp_recorded)
     for statistic in ("pearson", "all_frequencies"):
         q = law[0]
         values = int(((L * q - n * n if statistic == "pearson" else q) > 0).sum())
@@ -357,8 +356,48 @@ def test_chunked_degrees_equal_one_chunk(monkeypatch, rows):
         blocks.clear()
         got = ldlr_exact_multinomial(L, n, 0.9, 60, statistic=statistic).terms
         assert got == _reference_terms(L, n, 0.9, 60, law, statistic), statistic
-        assert [r for r, _ in blocks] == [rows] * (60 // rows) + [60 % rows] * (60 % rows > 0)
-        assert all(r * v <= ldlr._CHUNK_ENTRIES for r, v in blocks)
+        # the first call normalises the law; the degree blocks follow
+        assert blocks[0] == (1, len(q))
+        assert [r for r, _ in blocks[1:]] == [rows] * (60 // rows) + [60 % rows] * (60 % rows > 0)
+        assert all(r * v <= ldlr._CHUNK_ENTRIES for r, v in blocks[1:])
+
+
+def test_local_logsumexp_equals_scipy_on_every_block_of_acceptance_test_04(monkeypatch):
+    # L = 3 at n = 50..400, D at the n^0.3 rule and at 60, both statistics: every
+    # degree block and every law normalisation the float route hands the reduction
+    blocks, local = [], ldlr._logsumexp_rows
+
+    def recorded(a):
+        blocks.append(a.copy())
+        return local(a)
+
+    monkeypatch.setattr(ldlr, "_logsumexp_rows", recorded)
+    for n in (50, 100, 200, 400):
+        for D, statistic in itertools.product((int(n ** 0.3), 60), ("pearson", "all_frequencies")):
+            ldlr_exact_multinomial(3, n, 0.9, D, statistic=statistic)
+    assert len(blocks) >= 2 * 16     # each call: its law, then one block or more
+    for a in blocks:
+        got = local(a)
+        assert got.tobytes() == logsumexp(a, axis=1).tobytes(), a.shape
+        if len(a) == 1:    # a single row, as the law's normalisation: the 1-D reduction
+            assert got[0] == logsumexp(a[0])
+
+
+def test_local_logsumexp_equals_scipy_on_ties_single_columns_and_equal_rows():
+    rng = np.random.default_rng(3)
+    tied = np.round(rng.normal(0, 300, (50, 40)))   # integers: ties at the max are common
+    tied[:, :3] = tied.max(axis=1, keepdims=True)   # at least three entries at each max
+    blocks = [tied, rng.normal(0, 1e3, (20, 1)), np.full((4, 25), -7.25), np.zeros((1, 1)),
+              rng.normal(0, 50, (9, 1000)), np.full((3, 2), 700.0)]
+    for a in blocks:
+        assert ldlr._logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes(), a.shape
+
+
+def test_the_exact_routes_take_the_largest_degree_of_the_rule():
+    D = ldlr._DEGREES.high
+    a = ldlr_exact_multinomial(3, 4, 0.5, D, exact=True)
+    assert a.terms == ldlr_bruteforce_signals(3, 4, 0.5, D, exact=True).terms
+    assert len(a.terms) == len(ldlr_exact_multinomial(3, 4, 0.5, D).terms) == D + 1
 
 
 def test_two_cells_past_the_key_range_of_mass_times_q():
