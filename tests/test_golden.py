@@ -5,9 +5,15 @@ short digest of each line, so a mismatch names the first line that moved.
 The outputs are the oracle-suite CSV (seed 2024), the default and four-route
 ldlr-sweep CSVs (seed 7), the bound-suite and phase-diagram CSVs (seed 1),
 ``md-count`` JSON and ``ldlr --method md --rational`` JSON on both priors,
-and the stdout of demo 04.  None of them records a wall time or a library
-version; the suite manifests, which do, are left out.  Outputs that go
-through LAPACK eigen paths are left out as well.
+``ldlr --method exact`` and ``--method brute`` JSON with ``--rational`` at
+the README's example, and the stdout of demos 03, 04 and 06.  None of them
+records a wall time or a library version; the suite manifests, which do, are
+left out.  Outputs that go through LAPACK eigen paths are left out as well.
+So are demo 01 and the equivalence-suite CSV: their bytes change with the
+OpenBLAS kernel (``OPENBLAS_CORETYPE``), the suite's across SkylakeX,
+Haswell, Nehalem and Prescott, the demo's across SkylakeX, Haswell and
+Prescott.  Every output here gave the same digest under the default kernel,
+Haswell and Prescott, and CI runs this file a second time under Prescott.
 
 A change that moves an output by design rewrites the file with
 
@@ -46,6 +52,10 @@ def _outputs() -> dict:
             "bound-suite.csv": ["suite", "--kind", "bound-suite", "--seed", "1", "--csv"],
             "phase-diagram.csv": ["phase-diagram", "--seed", "1", "--out"],
         }
+        for method in ("exact", "brute"):      # the README's example
+            runs[f"ldlr-{method}-rational.json"] = [
+                "ldlr", "--method", method, "--L", "3", "--n", "12", "--lambda", "0.9",
+                "--D", "4", "--rational", "--out"]
         for prior in ("circle", "cyclic"):
             runs[f"md-count-{prior}.json"] = ["md-count", "--prior", prior, *md, "--out"]
             runs[f"ldlr-md-rational-{prior}.json"] = [
@@ -55,10 +65,11 @@ def _outputs() -> dict:
             with contextlib.redirect_stdout(io.StringIO()):     # the suites' summary lines
                 assert main(argv + [str(tmp / name)]) == 0, name
             texts[name] = (tmp / name).read_bytes()     # the CSVs end lines in CRLF
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(ROOT / "demos" / "04_ldlr_routes.py"), run_name="__main__")
-    texts["demo-04.txt"] = out.getvalue().encode()
+    for demo in ("03_synchronization_models", "04_ldlr_routes", "06_phase_diagram"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="__main__")
+        texts[f"demo-{demo[:2]}.txt"] = out.getvalue().encode()
     return texts
 
 
