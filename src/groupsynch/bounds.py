@@ -55,7 +55,8 @@ __all__ = [
     "check_l3_moment_bound",
 ]
 
-_TUPLE_BUDGET = 2 * 10 ** 6     # conditioning tuples one t-recursion check enumerates
+# binomial pmf entries, or right-side terms, that one t-recursion check computes
+_T_RECURSION_BUDGET = 21 * 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -205,13 +206,15 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck
     NONNEGATIVE.check("gamma", gamma)
 
     ak = alpha[k - 1]
-    M = math.ceil(min(ak + gamma, _TUPLE_BUDGET))      # the cap keeps a huge sum finite
-    # k = 1 has one tuple, but its binomial row holds n + 1 entries, as many as k = 2's
-    # tuples; the right side sums M + 1 terms over every tuple
-    work = max(n + 1, (M + 1) * math.comb(n + k - 1, k - 1))
-    if work > _TUPLE_BUDGET:
-        raise ResourceLimitError(f"{work} binomial entries or right-side terms over the "
-                                 f"conditioning tuples exceed the budget")
+    M = math.ceil(min(ak + gamma, _T_RECURSION_BUDGET))    # the cap keeps a huge sum finite
+    # the left side builds one binomial pmf row of m + 1 entries per distinct remaining
+    # mass m, m = n alone at k = 1 and every m in 0..n at k >= 2; the right side sums
+    # M + 1 terms over every conditioning tuple
+    pmf = n + 1 if k == 1 else (n + 1) * (n + 2) // 2
+    work = max(pmf, (M + 1) * math.comb(n + k - 1, k - 1))
+    if work > _T_RECURSION_BUDGET:
+        raise ResourceLimitError(f"{work} binomial pmf entries or right-side terms exceed "
+                                 f"the budget of {_T_RECURSION_BUDGET}")
     tuples = _partial_tuples(n, k - 1)
     try:
         # an overflow to inf (or an inf times 0) is refused below, not warned about

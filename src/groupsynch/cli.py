@@ -6,17 +6,15 @@ in the observation file, which ``simulate`` writes for every model it
 samples; ``models.Model.from_name`` reads the name.  Every output file is
 written to a temporary file and renamed into place.  Exit codes: 0 success,
 1 a suite assertion failed, 2 a usage error (a bad flag or grid) or a
-configuration error (a bad config or input file).  The environment variable
-``GROUPSYNCH_BUDGET``, a positive integer, overrides both default budgets: the
-count vectors of the exact and brute-force routes and the walk transitions of
-the md route.  An observation file's ``n`` and each channel's ``dim`` must
+configuration error (a bad config or input file).  ``ldlr`` and ``md-count``
+run at the library's default budgets; a suite config's ``budgets`` is the one
+place to lift them.  An observation file's ``n`` and each channel's ``dim`` must
 keep the library's size rule (an integer >= 1, never a bool).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -35,14 +33,6 @@ from .experiments import (_PRIORS, _ROUTES, KINDS, ExperimentConfig, _atomic_wri
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_CONFIG = 2
-
-
-def _budget(default: int = ldlr_mod.DEFAULT_BUDGET) -> int:
-    raw = os.environ.get("GROUPSYNCH_BUDGET", str(default))
-    budget = int(raw) if raw.strip().isdecimal() else 0
-    if budget < 1:
-        raise ConfigError("GROUPSYNCH_BUDGET", "must be a positive integer")
-    return budget
 
 
 def _matrix_to_json(m: np.ndarray):
@@ -125,8 +115,7 @@ def _cmd_sample_ensemble(args) -> int:
 def _cmd_ldlr(args) -> int:
     rep = _ldlr_report(args.method, args.prior, args.L, args.n, args.snr, args.D,
                        exact=args.rational, statistic=args.statistic,
-                       samples=args.samples, seed=args.seed,
-                       budgets={"enumeration": _budget(), "md": _budget(ldlr_mod.MD_BUDGET)})
+                       samples=args.samples, seed=args.seed, budgets={})
     payload = {
         "params": rep.params, "method": rep.method,
         "terms": [float(t) for t in rep.terms],
@@ -142,7 +131,7 @@ def _cmd_ldlr(args) -> int:
 
 
 def _cmd_md_count(args) -> int:
-    counts = ldlr_mod._md_counts(args.prior, args.L, args.n, args.D, _budget(ldlr_mod.MD_BUDGET))
+    counts = ldlr_mod._md_counts(args.prior, args.L, args.n, args.D, ldlr_mod.MD_BUDGET)
     _write_json(args.out, {"prior": args.prior, "L": args.L, "n": args.n,
                            "counts": counts})
     return EXIT_OK

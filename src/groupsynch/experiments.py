@@ -8,9 +8,11 @@ check row's verdict is its ``pass`` column, and :func:`run` reads the
 failures off those rows: one message per row whose ``pass`` is false.  The
 manifest records library versions, the bundled OpenBLAS libraries with
 their thread counts, wall time, and the failures.  ``_ROUTES`` says which
-statistic each LDLR route computes; the CLI, the sweep and phase diagram read it.
-Every param is checked before any row, against the rule of the function that
-reads it (``_PARAM_RULES``); a bad one is a ``ConfigError`` naming it.
+statistic each LDLR route computes and the rule it checks L against; the CLI,
+the sweep and phase diagram read it.  ``_KINDS`` holds each suite kind's
+runner and, per param, its default and the rule of the function that reads
+it; every param is checked against that rule before any row, and a bad one is
+a ``ConfigError`` naming it.
 """
 from __future__ import annotations
 
@@ -49,72 +51,16 @@ __all__ = [
 
 _BUDGETS = ("enumeration", "md")      # count vectors; md walk transitions
 # What each LDLR route computes: method -> ({prior: its statistics there, its own first},
-# has a rational form); md's all_frequencies includes the trivial channel on cyclic priors
+# has a rational form, the rule its own entry checks L against); md's all_frequencies
+# includes the trivial channel on cyclic priors, and mc's L rule is its model's
+# (Model.from_name)
 _ROUTES = {
-    "exact": ({"cyclic": ("pearson", "all_frequencies")}, True),
-    "brute": ({"cyclic": ("pearson", "all_frequencies")}, True),
-    "md": ({"circle": ("all_frequencies",), "cyclic": ("all_frequencies",)}, True),
-    "mc": ({"circle": ("all_frequencies",), "cyclic": ("pearson",)}, False),
+    "exact": ({"cyclic": ("pearson", "all_frequencies")}, True, ORDER),
+    "brute": ({"cyclic": ("pearson", "all_frequencies")}, True, ORDER),
+    "md": ({"circle": ("all_frequencies",), "cyclic": ("all_frequencies",)}, True, SIZE),
+    "mc": ({"circle": ("all_frequencies",), "cyclic": ("pearson",)}, False, None),
 }
-_PRIORS = tuple(sorted({prior for stats, _ in _ROUTES.values() for prior in stats}))
-# The rule each route's own entry checks L against; mc's is its model's (Model.from_name)
-_ROUTE_L = {"exact": ORDER, "brute": ORDER, "md": SIZE}
-
-_DEFAULT_PARAMS = {
-    "ldlr-sweep": {
-        "prior": "cyclic",
-        "L_grid": [2, 3],
-        "n_grid": [8, 16],
-        "snr_grid": [0.5, 0.9],
-        "D": 3,
-        "methods": ["exact", "mc"],
-        "mc_samples": 20000,
-    },
-    "power-sweep": {
-        "model": "circle",
-        "L": 1,
-        "n": 300,
-        "snr_grid": [0.5, 1.5],
-        "trials": 40,
-        "alpha": 0.05,
-        "calibration_trials": 60,
-    },
-    "oracle-suite": {
-        "exact_instances": [[2, 4], [2, 6], [3, 3], [3, 5], [4, 3]],
-        "md_instances": [[2, 3], [3, 3], [4, 2]],
-        "snr": 0.9,
-        "D": 3,
-        "mc_samples": 40000,
-    },
-    "bound-suite": {
-        "clt_n": [30, 100, 300, 1000, 3000, 10000],
-        "clt_alpha": [0.5, 1, 1.5, 2, 3, 4, 5, 6, 8, 10],
-        "clt_bernoulli_p": [0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9],
-        "trec_L": [3, 4, 5],
-        "trec_n": [10, 20, 30],
-        "trec_alpha_sum": 4,
-        "trec_gamma": [0, 1, 2],
-        "l3_n": 1000,
-        "l3_dmax": 9,
-    },
-    "equivalence-suite": {
-        "groups": ["cyclic(3)", "cyclic(4)", "dihedral(3)"],
-        "n": 8,
-        "snr": 0.7,
-        "variance_pairs": 4000,
-        "variance_n": 50,
-        "variance_tol": 0.05,
-    },
-    "phase-diagram": {
-        "L_grid": [3, 5, 7, 9, 11, 13],
-        "snr_grid": [0.6, 0.8, 1.0, 1.2],
-        "n": 16,
-        "D_exponent": 0.3,
-        "trials": 0,
-        "power_n": 300,
-    },
-}
-KINDS = tuple(_DEFAULT_PARAMS)
+_PRIORS = tuple(sorted({prior for stats, *_ in _ROUTES.values() for prior in stats}))
 
 
 class _Instance(tuple):
@@ -126,29 +72,6 @@ class _Instance(tuple):
 
     def __str__(self) -> str:
         return f"[L, n] with L {self[0]} and n {self[1]}"
-
-
-# What each param must be, checked before any row is computed: the rule of the function
-# that reads it, for the value or each entry of a grid.  mc_samples is checked only
-# where mc runs.  The choice keys prior, methods, model and groups are looked up instead.
-_PARAM_RULES = {
-    "ldlr-sweep": {"L_grid": SIZE, "n_grid": SIZE, "snr_grid": NONNEGATIVE,
-                   "D": ldlr_mod._DEGREES, "mc_samples": ldlr_mod._MC_SAMPLES},
-    "power-sweep": {"L": SIZE, "n": SIZE, "snr_grid": NONNEGATIVE, "trials": SIZE,
-                    "alpha": PROBABILITY, "calibration_trials": _CALIBRATION_TRIALS},
-    "oracle-suite": {"exact_instances": _Instance((ORDER, SIZE)),
-                     "md_instances": _Instance((ORDER, SIZE)),
-                     "snr": NONNEGATIVE, "D": ldlr_mod._DEGREES,
-                     "mc_samples": ldlr_mod._MC_SAMPLES},
-    "bound-suite": {"clt_n": bounds_mod._CLT_N, "clt_alpha": bounds_mod._CLT_ALPHA,
-                    "clt_bernoulli_p": PROBABILITY, "trec_L": bounds_mod._T_RECURSION_L,
-                    "trec_n": COUNT, "trec_alpha_sum": COUNT, "trec_gamma": NONNEGATIVE,
-                    "l3_n": SIZE, "l3_dmax": SIZE},
-    "equivalence-suite": {"n": SIZE, "snr": NONNEGATIVE, "variance_pairs": SIZE,
-                          "variance_n": ORDER, "variance_tol": NONNEGATIVE},
-    "phase-diagram": {"L_grid": ORDER, "snr_grid": NONNEGATIVE, "n": SIZE,
-                      "D_exponent": NONNEGATIVE, "trials": COUNT, "power_n": SIZE},
-}
 
 
 @dataclass(frozen=True)
@@ -172,7 +95,7 @@ class ExperimentConfig:
         for key in ("params", "budgets", "out"):
             if not isinstance(data.get(key, {}), dict):
                 raise ConfigError(key, "must be a JSON object")
-        params = dict(_DEFAULT_PARAMS[kind])
+        params = {key: default for key, (default, _) in _KINDS[kind][1].items()}
         params.update(data.get("params", {}))
         budgets = {"enumeration": ldlr_mod.DEFAULT_BUDGET}
         budgets.update(data.get("budgets", {}))
@@ -197,15 +120,15 @@ class ExperimentConfig:
                                   f"unknown budget; expected one of {_BUDGETS}")
             if not SIZE.holds(value):
                 raise ConfigError(f"budgets.{key}", f"must be {SIZE}")
-        rules = _PARAM_RULES[self.kind]
+        params = _KINDS[self.kind][1]
         for key, value in self.params.items():
-            if key not in _DEFAULT_PARAMS[self.kind]:
+            if key not in params:
                 raise ConfigError(f"params.{key}", f"unknown parameter for {self.kind}")
+            default, rule = params[key]
             # a param is a grid exactly when its default is a list
-            grid = isinstance(_DEFAULT_PARAMS[self.kind][key], list)
+            grid = isinstance(default, list)
             if grid and (not isinstance(value, (list, tuple)) or len(value) == 0):
                 raise ConfigError(f"params.{key}", "grid must be a nonempty list")
-            rule = rules.get(key)
             if key == "mc_samples" and "mc" not in self.params.get("methods", ("mc",)):
                 rule = None
             if rule is not None and not all(map(rule.holds, value if grid else [value])):
@@ -219,12 +142,13 @@ class ExperimentConfig:
             raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
             _check_route(method, self.params["prior"], None, False, "params.methods")
+            L_rule = _ROUTES[method][2]
             for L in self.params["L_grid"]:     # and the L rule of each chosen route
                 try:
-                    if method == "mc":
+                    if L_rule is None:
                         models_mod.Model.from_name(self.params["prior"], L)
                     else:
-                        _ROUTE_L[method].check("L", L)
+                        L_rule.check("L", L)
                 except InvalidParameterError as exc:
                     raise ConfigError("params.L_grid", f"the {method} route: {exc}") from exc
         if self.kind == "power-sweep":     # L is read only by a bare circle or cyclic
@@ -342,7 +266,7 @@ def stat_threshold_upper_bound(L: int) -> float:
 def _check_route(method: str, prior: str, statistic, exact: bool, field: str) -> str:
     """The statistic ``method`` computes on ``prior`` (its own if ``statistic`` is None),
     or a ConfigError under ``field``, ``statistic`` or ``rational``, read off ``_ROUTES``."""
-    stats, rational = _ROUTES.get(method, ({}, False))
+    stats, rational, _ = _ROUTES.get(method, ({}, False, None))
     if prior not in stats:
         raise ConfigError(field, f"no {method!r} route covers the {prior} prior")
     if statistic is not None and statistic not in stats[prior]:
@@ -354,13 +278,14 @@ def _check_route(method: str, prior: str, statistic, exact: bool, field: str) ->
 
 def _ldlr_report(method, prior, L, n, snr, D, *, exact, statistic, samples, seed,
                  budgets) -> ldlr_mod.LdlrReport:
-    """The LDLR route for one method, exact, brute, md or mc, once _check_route passes."""
+    """The LDLR route for one method, exact, brute, md or mc, once _check_route passes;
+    a budget missing from ``budgets`` is the library default."""
     statistic = _check_route(method, prior, statistic, exact, "prior")
     if method in ("exact", "brute"):
         route = (ldlr_mod.ldlr_exact_multinomial if method == "exact"
                  else ldlr_mod.ldlr_bruteforce_signals)
         return route(L, n, snr, D, exact=exact, statistic=statistic,
-                     budget=budgets["enumeration"])
+                     budget=budgets.get("enumeration", ldlr_mod.DEFAULT_BUDGET))
     if method == "md":
         return ldlr_mod.ldlr_from_md(prior, L, n, snr, D, exact=exact,
                                      budget=budgets.get("md", ldlr_mod.MD_BUDGET))
@@ -568,21 +493,72 @@ def _run_phase_diagram(cfg: ExperimentConfig):
     return rows
 
 
-_RUNNERS = {
-    "ldlr-sweep": _run_ldlr_sweep,
-    "power-sweep": _run_power_sweep,
-    "oracle-suite": _run_oracle_suite,
-    "bound-suite": _run_bound_suite,
-    "equivalence-suite": _run_equivalence_suite,
-    "phase-diagram": _run_phase_diagram,
+# Each suite kind: its runner and, per param, (default, rule).  The rule is the rule of
+# the function that reads the param, checked before any row is computed, for the value
+# or each entry of a grid; mc_samples is checked only where mc runs.  The choice keys
+# prior, methods, model and groups have no rule: they are looked up instead.
+_KINDS = {
+    "ldlr-sweep": (_run_ldlr_sweep, {
+        "prior": ("cyclic", None),
+        "L_grid": ([2, 3], SIZE),
+        "n_grid": ([8, 16], SIZE),
+        "snr_grid": ([0.5, 0.9], NONNEGATIVE),
+        "D": (3, ldlr_mod._DEGREES),
+        "methods": (["exact", "mc"], None),
+        "mc_samples": (20000, ldlr_mod._MC_SAMPLES),
+    }),
+    "power-sweep": (_run_power_sweep, {
+        "model": ("circle", None),
+        "L": (1, SIZE),
+        "n": (300, SIZE),
+        "snr_grid": ([0.5, 1.5], NONNEGATIVE),
+        "trials": (40, SIZE),
+        "alpha": (0.05, PROBABILITY),
+        "calibration_trials": (60, _CALIBRATION_TRIALS),
+    }),
+    "oracle-suite": (_run_oracle_suite, {
+        "exact_instances": ([[2, 4], [2, 6], [3, 3], [3, 5], [4, 3]], _Instance((ORDER, SIZE))),
+        "md_instances": ([[2, 3], [3, 3], [4, 2]], _Instance((ORDER, SIZE))),
+        "snr": (0.9, NONNEGATIVE),
+        "D": (3, ldlr_mod._DEGREES),
+        "mc_samples": (40000, ldlr_mod._MC_SAMPLES),
+    }),
+    "bound-suite": (_run_bound_suite, {
+        "clt_n": ([30, 100, 300, 1000, 3000, 10000], bounds_mod._CLT_N),
+        "clt_alpha": ([0.5, 1, 1.5, 2, 3, 4, 5, 6, 8, 10], bounds_mod._CLT_ALPHA),
+        "clt_bernoulli_p": ([0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9], PROBABILITY),
+        "trec_L": ([3, 4, 5], bounds_mod._T_RECURSION_L),
+        "trec_n": ([10, 20, 30], COUNT),
+        "trec_alpha_sum": (4, COUNT),
+        "trec_gamma": ([0, 1, 2], NONNEGATIVE),
+        "l3_n": (1000, SIZE),
+        "l3_dmax": (9, SIZE),
+    }),
+    "equivalence-suite": (_run_equivalence_suite, {
+        "groups": (["cyclic(3)", "cyclic(4)", "dihedral(3)"], None),
+        "n": (8, SIZE),
+        "snr": (0.7, NONNEGATIVE),
+        "variance_pairs": (4000, SIZE),
+        "variance_n": (50, ORDER),
+        "variance_tol": (0.05, NONNEGATIVE),
+    }),
+    "phase-diagram": (_run_phase_diagram, {
+        "L_grid": ([3, 5, 7, 9, 11, 13], ORDER),
+        "snr_grid": ([0.6, 0.8, 1.0, 1.2], NONNEGATIVE),
+        "n": (16, SIZE),
+        "D_exponent": (0.3, NONNEGATIVE),
+        "trials": (0, COUNT),
+        "power_n": (300, SIZE),
+    }),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig) -> RunResult:
     """Execute a configured suite; write CSV rows and a JSON manifest."""
     config.validate()
     start = time.time()
-    rows = _RUNNERS[config.kind](config)
+    rows = _KINDS[config.kind][0](config)
     failures = [" ".join(f"{k}={v}" for k, v in row.items() if k != "pass")
                 for row in rows if "pass" in row and not row["pass"]]
     chash = config.hash()

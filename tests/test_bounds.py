@@ -309,7 +309,28 @@ def test_t_recursion_k1_budgets_its_binomial_row(monkeypatch):
     monkeypatch.setattr(bounds, "_centered_binomial_moments", no_moments)
     for k in (1, 2):
         with pytest.raises(ResourceLimitError):
-            check_t_recursion(3, bounds._TUPLE_BUDGET, k, [1.0] * k, 0)
+            check_t_recursion(3, bounds._T_RECURSION_BUDGET, k, [1.0] * k, 0)
+
+
+def test_t_recursion_k2_budgets_its_pmf_rows_before_any_tuple(monkeypatch):
+    # n + 1 tuples, but one pmf row per remaining mass 0..n: (n + 1)(n + 2) / 2 entries
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    def no_rows(*args):
+        raise AssertionError("a tuple or a pmf row was built before the budget was checked")
+    monkeypatch.setattr(bounds, "_centered_binomial_moments", no_rows)
+    monkeypatch.setattr(bounds, "_partial_tuples", no_rows)
+    top = max(n for n in range(3000) if (n + 1) * (n + 2) // 2 <= bounds._T_RECURSION_BUDGET)
+    for n in (top + 1, 10 ** 5, 10 ** 6):
+        with pytest.raises(ResourceLimitError, match="binomial pmf entries"):
+            check_t_recursion(3, n, 2, [0.0, 0.0], 0)
+    monkeypatch.setattr(bounds, "_partial_tuples", admitted)
+    with pytest.raises(Admitted):
+        check_t_recursion(3, top, 2, [0.0, 0.0], 0)
 
 
 @pytest.mark.parametrize("alpha,gamma", [([1.0, 100], 0.5), ([1.0, 1.0], 700), ([1.0], 1000)])
@@ -322,7 +343,7 @@ def test_t_recursion_overflow_is_typed(alpha, gamma):
 def test_t_recursion_budgets_its_right_side_terms_before_the_sides(monkeypatch):
     # n = 30 and k = 2 give 31 tuples, each with M + 1 right-side terms, where
     # M = ceil(alpha_2 + gamma) = 1 + gamma for an integer gamma
-    top = bounds._TUPLE_BUDGET // 31 - 1    # the largest M admitted
+    top = bounds._T_RECURSION_BUDGET // 31 - 1    # the largest M admitted
     with pytest.raises(NumericalOverflowError):     # admitted: C(M, beta) leaves the float range
         check_t_recursion(3, 30, 2, [1.0, 1.0], top - 1)
 

@@ -258,13 +258,13 @@ def test_counts_refuse_negatives_and_none_and_numpy_seeds_keep_working():
     assert len(rng.spawn_seeds(None, 2)) == 2 and 0 <= rng.make_rng(None).random() < 1
 
 
-PARAMS = [(kind, key) for kind, params in experiments._DEFAULT_PARAMS.items() for key in params]
+PARAMS = [(kind, key) for kind, (_, params) in experiments._KINDS.items() for key in params]
 
 
 @pytest.mark.parametrize("kind, key", PARAMS, ids=[f"{k}:{p}" for k, p in PARAMS])
 @pytest.mark.parametrize("bad", [-1, "x"])
 def test_each_bad_param_is_a_config_error_naming_it(kind, key, bad):
-    grid = isinstance(experiments._DEFAULT_PARAMS[kind][key], list)
+    grid = isinstance(experiments._KINDS[kind][1][key][0], list)
     with pytest.raises(ConfigError) as exc:
         experiments.ExperimentConfig.from_dict(
             {"kind": kind, "seed": 1, "params": {key: [bad] if grid else bad}})

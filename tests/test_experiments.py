@@ -40,6 +40,13 @@ def test_config_empty_grid_names_field():
             assert exc.value.field == f"params.{key}"
 
 
+def test_only_the_choice_keys_have_no_param_rule():
+    # every other param enters with the rule of the function that reads it
+    unruled = {key for _, params in experiments._KINDS.values()
+               for key, (_, rule) in params.items() if rule is None}
+    assert unruled == {"prior", "methods", "model", "groups"}
+
+
 def test_config_bad_budget():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict({"kind": "oracle-suite", "seed": 1,
@@ -223,11 +230,11 @@ def test_ldlr_sweep_brute_is_held_to_the_enumeration_budget():
 
 
 @pytest.mark.parametrize("method, prior, statistic", [
-    (method, prior, statistic) for method, (stats, _) in experiments._ROUTES.items()
+    (method, prior, statistic) for method, (stats, _, _) in experiments._ROUTES.items()
     for prior in stats for statistic in (None, *stats[prior])])
 def test_each_route_reports_the_statistic_of_the_route_table(method, prior, statistic):
     # the routes stamp their own params, so this ties the table to what they compute
-    stats, rational = experiments._ROUTES[method]
+    stats, rational, _ = experiments._ROUTES[method]
     rep = experiments._ldlr_report(method, prior, 2, 3, 0.5, 2, exact=rational,
                                    statistic=statistic, samples=200, seed=1,
                                    budgets={"enumeration": 10 ** 4})
