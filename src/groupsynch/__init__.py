@@ -29,7 +29,6 @@ from .experiments import (ExperimentConfig, phase_diagram, run,
                           stat_threshold_lower_bound, stat_threshold_upper_bound)
 from .groups import (FiniteGroup, Irrep, IrrepList, build_catalog, build_cyclic,
                      build_dihedral, build_quaternion8, frobenius_schur,
-                     group_from_dict, group_to_dict,
                      peter_weyl_orthogonality_check, regular_rep_unitary)
 from .ldlr import (LdlrReport, first_moment_via_binomial, group_overlap_stat,
                    ldlr_bruteforce_signals, ldlr_exact_multinomial, ldlr_from_md,

@@ -87,19 +87,24 @@ def _limb_sums(x: np.ndarray) -> np.ndarray:
 
     Entry bits say value = mantissa * 2^(shift - 1074), shift in 0..2045.  The
     mantissa, shifted left by shift mod 32, spans three 32-bit limbs from limb
-    shift // 32; one np.bincount per piece adds them up per (row, limb), and
-    each float sum stays below 2^53, so it is exact.  The limbs, even and odd
-    ones each laid out without overlap, become one Python int per row, and its
-    true division by 2^1074 rounds once."""
+    shift // 32; one np.bincount per piece and block of columns (about
+    ldlr._CHUNK_ENTRIES entries) adds them up per (row, limb), and each float sum
+    stays below 2^53, so it is exact.  The limbs, even and odd ones each laid
+    out without overlap, become one Python int per row, and its true division
+    by 2^1074 rounds once."""
     rows = len(x)
-    bits = x.view(np.uint64)
-    shift = np.maximum(bits >> 52, 1) - 1      # subnormals share the smallest normal's
-    mant = bits - (shift << 52)                # implicit bit restored for normals
-    at = ((shift >> 5).astype(np.intp) + (np.arange(rows) * _LIMBS)[:, None]).ravel()
-    r = shift & 31
-    pieces = ((mant << r) & _M32, (mant >> (32 - r)) & _M32, (mant >> 32) >> (32 - r))
-    limbs = sum(np.bincount(at + j, piece.ravel(), rows * _LIMBS)
-                for j, piece in enumerate(pieces))
+    row_at = (np.arange(rows) * _LIMBS)[:, None]
+    limbs = np.zeros(rows * _LIMBS)
+    step = max(1, _CHUNK_ENTRIES // rows)
+    for start in range(0, x.shape[1], step):
+        bits = x[:, start:start + step].view(np.uint64)
+        shift = np.maximum(bits >> 52, 1) - 1      # subnormals share the smallest normal's
+        mant = bits - (shift << 52)                # implicit bit restored for normals
+        at = ((shift >> 5).astype(np.intp) + row_at).ravel()
+        r = shift & 31
+        pieces = ((mant << r) & _M32, (mant >> (32 - r)) & _M32, (mant >> 32) >> (32 - r))
+        for j, piece in enumerate(pieces):
+            limbs += np.bincount(at + j, piece.ravel(), rows * _LIMBS)
     pairs = limbs.astype("<u8").reshape(rows, _LIMBS // 2, 2)
     even, odd = pairs[:, :, 0].tobytes(), pairs[:, :, 1].tobytes()
     width = 4 * _LIMBS
@@ -131,12 +136,13 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
 def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha) -> np.ndarray:
     """E |Binomial(m_i, p) - m_i p|^a for each m_i and each exponent a of
     ``two_alpha`` (a scalar or a list), exactly, of shape m.shape + shape of
-    ``two_alpha``: one binom.pmf call per chunk of ldlr._CHUNK_ENTRIES entries,
-    shared by every exponent, and one :func:`_exact_row_sums` call per chunk
-    over its rows for all exponents at once (pmf 0 past m_i)."""
+    ``two_alpha``: one binom.pmf call per chunk of about ldlr._CHUNK_ENTRIES
+    terms over all exponents, shared by every exponent, and one
+    :func:`_exact_row_sums` call per chunk over its rows for all exponents at
+    once (pmf 0 past m_i)."""
     from scipy.stats import binom   # here: at module level it doubles the import time
-    rows = max(1, _CHUNK_ENTRIES // (int(m.max()) + 1))
     exponents = np.ravel(two_alpha)
+    rows = max(1, _CHUNK_ENTRIES // ((int(m.max()) + 1) * len(exponents)))
     out = []
     for start in range(0, len(m), rows):
         mc = m[start:start + rows, None]
@@ -196,36 +202,60 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck
     most n, computes both sides exactly, and reports the smallest margin
     rhs - lhs together with any violations.
     """
+    return _t_recursion_checks(L, n, k, [alpha], [gamma])[0]
+
+
+def _t_recursion_checks(L: int, n: int, k: int, alphas, gammas) -> list:
+    """:func:`check_t_recursion` at each (alpha, gamma) of ``alphas`` x ``gammas``,
+    alpha-major, from one tuple table and one centered-binomial moments call for
+    every alpha's exponent; every argument, and the budget at the grid's largest
+    M, are checked before either is built."""
     _T_RECURSION_L.check("L", L)
     COUNT.check("n", n)
     if SIZE.check("k", k) >= L:
         raise InvalidParameterError("need k < L")
-    alpha = [float(NONNEGATIVE.check("alpha", a)) for a in alpha]
-    if len(alpha) != k:
+    alphas = [[float(NONNEGATIVE.check("alpha", a)) for a in alpha] for alpha in alphas]
+    if any(len(alpha) != k for alpha in alphas):
         raise InvalidParameterError("alpha must have k entries")
-    NONNEGATIVE.check("gamma", gamma)
+    for gamma in gammas:
+        NONNEGATIVE.check("gamma", gamma)
+    # the cap keeps a huge sum finite
+    grid = [(alpha, gamma, math.ceil(min(alpha[k - 1] + gamma, _T_RECURSION_BUDGET)))
+            for alpha in alphas for gamma in gammas]
+    if not grid:
+        return []
 
-    ak = alpha[k - 1]
-    M = math.ceil(min(ak + gamma, _T_RECURSION_BUDGET))    # the cap keeps a huge sum finite
     # the left side builds one binomial pmf row of m + 1 entries per distinct remaining
     # mass m, m = n alone at k = 1 and every m in 0..n at k >= 2; the right side sums
     # M + 1 terms over every conditioning tuple
     pmf = n + 1 if k == 1 else (n + 1) * (n + 2) // 2
-    work = max(pmf, (M + 1) * math.comb(n + k - 1, k - 1))
+    work = max(pmf, (max(M for _, _, M in grid) + 1) * math.comb(n + k - 1, k - 1))
     if work > _T_RECURSION_BUDGET:
         raise ResourceLimitError(f"{work} binomial pmf entries or right-side terms exceed "
                                  f"the budget of {_T_RECURSION_BUDGET}")
     tuples = _partial_tuples(n, k - 1)
-    try:
-        # an overflow to inf (or an inf times 0) is refused below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = _t_recursion_sides(L, n, k, alpha, gamma, M, tuples)
-        finite = np.isfinite(lhs).all() and np.isfinite(rhs).all()
-    except OverflowError:       # K(alpha_k) or a binomial coefficient as a float
-        finite = False
-    if not finite:
+    m_free = n - tuples.sum(axis=1)              # remaining mass per tuple
+    m_vals, which = np.unique(m_free, return_inverse=True)
+    column = {a: j for j, a in enumerate(sorted({2 * alpha[k - 1] for alpha in alphas}))}
+    checks = []
+    # an overflow to inf (or an inf times 0) is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            moments = _centered_binomial_moments(m_vals, 1.0 / (L - k + 1), list(column))
+            for alpha, gamma, M in grid:
+                moment = moments[which, column[2 * alpha[k - 1]]]
+                lhs, rhs = _t_recursion_sides(L, n, k, alpha, gamma, M, tuples, m_free, moment)
+                if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+                    break
+                checks.append(_t_recursion_check(L, n, k, alpha, gamma, tuples, lhs, rhs))
+        except OverflowError:   # K(alpha_k) or a binomial coefficient as a float
+            pass
+    if len(checks) < len(grid):
         raise NumericalOverflowError("a side of the t-recursion exceeds the float range")
+    return checks
 
+
+def _t_recursion_check(L, n, k, alpha, gamma, tuples, lhs, rhs) -> BoundCheck:
     margin = rhs - lhs
     worst = int(np.argmin(margin))
     violations = int(np.count_nonzero(lhs > rhs * (1 + 1e-12)))
@@ -235,13 +265,11 @@ def check_t_recursion(L: int, n: int, k: int, alpha, gamma: float) -> BoundCheck
                        "violations": violations, "tuples": len(tuples)})
 
 
-def _t_recursion_sides(L, n, k, alpha, gamma, M, tuples):
-    """Both sides of the elimination step at every conditioning tuple."""
+def _t_recursion_sides(L, n, k, alpha, gamma, M, tuples, m_free, moment):
+    """Both sides of the elimination step at every conditioning tuple, given the
+    remaining mass and the centered-binomial moment of each."""
     ak = alpha[k - 1]
     const = _moment_constant(ak) * ((L - k) / (L - k + 1) ** 2) ** ak
-    m_free = n - tuples.sum(axis=1)              # remaining mass per tuple
-    m_vals, which = np.unique(m_free, return_inverse=True)
-    moment = _centered_binomial_moments(m_vals, 1.0 / (L - k + 1), 2 * ak)[which]
 
     # T_{k-1} shared by both sides, and its last factor (1 when k = 1)
     t_base = np.ones(len(tuples))

@@ -378,13 +378,13 @@ def _run_bound_suite(cfg: ExperimentConfig):
         for n in p["trec_n"]:
             for k in range(1, L):
                 alphas = bounds_mod._partial_tuples(p["trec_alpha_sum"], k).tolist()
-                for alpha in map(tuple, alphas):
-                    for gam in p["trec_gamma"]:
-                        res = bounds_mod.check_t_recursion(L, n, k, alpha, gam)
-                        rows.append({"check": "t-recursion", "case": f"L={L},k={k}",
-                                     "n": n, "param": f"{alpha}|g={gam}",
-                                     "lhs": res.lhs, "rhs": res.rhs,
-                                     "pass": res.holds})
+                grid = [(tuple(alpha), gam) for alpha in alphas for gam in p["trec_gamma"]]
+                checks = bounds_mod._t_recursion_checks(L, n, k, alphas, p["trec_gamma"])
+                for (alpha, gam), res in zip(grid, checks):
+                    rows.append({"check": "t-recursion", "case": f"L={L},k={k}",
+                                 "n": n, "param": f"{alpha}|g={gam}",
+                                 "lhs": res.lhs, "rhs": res.rhs,
+                                 "pass": res.holds})
 
     for res in bounds_mod.check_l3_moment_bound(p["l3_n"], p["l3_dmax"]):
         rows.append({"check": "l3-moment", "case": "L=3", "n": p["l3_n"],

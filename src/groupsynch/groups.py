@@ -4,9 +4,9 @@ Groups are stored as multiplication tables over element indices 0..L-1;
 products and inverses are read straight off ``mul`` and ``inverse``.
 Representations are dense complex matrices, one per element.  The catalog
 covers cyclic groups, dihedral groups and the quaternion group of order 8,
-with hard-coded analytic irreps; irreps for other groups are supplied as a
-JSON-ready dict (see :func:`group_to_dict` / :func:`group_from_dict`, which
-validates what it reads) rather than computed.
+with hard-coded analytic irreps.  Irreps of other groups are not computed: a
+custom group is built from :class:`FiniteGroup`, :class:`Irrep` and
+:class:`IrrepList`, then checked with :meth:`IrrepList.validate`.
 
 Conventions:
   * an irrep's ``dim`` is always its complex dimension.  Quaternionic-type
@@ -37,8 +37,6 @@ __all__ = [
     "frobenius_schur",
     "regular_rep_unitary",
     "peter_weyl_orthogonality_check",
-    "group_to_dict",
-    "group_from_dict",
 ]
 
 STRUCT_TOL = 1e-10
@@ -59,13 +57,14 @@ class FiniteGroup:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mul = np.asarray(self.mul, dtype=np.int64)
-        object.__setattr__(self, "mul", mul)
-        L = self.order
-        if mul.ndim != 2 or mul.shape != (L, L):
-            raise InvalidParameterError("multiplication table must be square")
-        if mul.min() < 0 or mul.max() >= L:
-            raise InvalidParameterError("table entries must be element indices")
+        table = np.array(self.mul, dtype=object)
+        if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+            raise InvalidParameterError("multiplication table must be square and nonempty")
+        L = table.shape[0]
+        if not all(map(integer(0, L - 1).holds, table.flat)):   # no bool, float or string
+            raise InvalidParameterError("table entries must be element indices: "
+                                        f"integers in [0, {L - 1}]")
+        mul = table.astype(np.int64)
         # Latin square: every row and column is a permutation.
         full = np.arange(L)
         if not (np.all(np.sort(mul, axis=0) == full[:, None]) and
@@ -75,19 +74,12 @@ class FiniteGroup:
         # mul[mul[a, b], c] against mul[a, mul[b, c]].
         if not np.array_equal(mul[mul], mul[:, mul]):
             raise InvalidParameterError("multiplication table is not associative")
-        ident = [e for e in range(L)
-                 if np.all(mul[e] == full) and np.all(mul[:, e] == full)]
-        if len(ident) != 1:
-            raise InvalidParameterError("no two-sided identity element")
-        e = ident[0]
-        inv = np.empty(L, dtype=np.int64)
-        for g in range(L):
-            cands = np.flatnonzero(mul[g] == e)
-            if len(cands) != 1 or mul[cands[0], g] != e:
-                raise InvalidParameterError(f"element {g} has no two-sided inverse")
-            inv[g] = cands[0]
+        # an associative Latin square is a group: its identity and inverses exist, unique
+        e = int(np.flatnonzero((mul == full).all(axis=1))[0])
+        inv = np.argmax(mul == e, axis=1)
         mul.setflags(write=False)
         inv.setflags(write=False)
+        object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "identity", e)
         object.__setattr__(self, "inverse", inv)
         if self.labels is not None and len(self.labels) != L:
@@ -214,16 +206,17 @@ class IrrepList:
                 raise NumericalInconsistencyError("nonredundant list contains the trivial irrep")
             chars = [r.character() for r in self.entries]
             for i in range(len(chars)):
-                for j in range(i + 1, len(chars)):
-                    if np.abs(chars[i] - chars[j].conj()).max() <= 1e-8:
-                        raise NumericalInconsistencyError(
-                            f"entries {i} and {j} form a conjugate pair")
+                j = _conjugate_of(chars, i)
+                if j is not None:       # the first such i finds its first partner past it
+                    raise NumericalInconsistencyError(
+                        f"entries {i} and {j} form a conjugate pair")
 
     def nonredundant(self) -> "IrrepList":
         """Reduce a full list to the nonredundant convention.
 
         Keeps, from each conjugate pair, the irrep whose first non-real
-        character entry has positive imaginary part.
+        character entry has positive imaginary part, where the pair's first
+        member sits.
         """
         if self.mode == "nonredundant":
             return self
@@ -233,20 +226,21 @@ class IrrepList:
         for i, irrep in enumerate(self.entries):
             if i in skip or irrep.is_trivial:
                 continue
-            partner = None
-            if np.abs(chars[i].imag).max() > 1e-8:
-                for j in range(len(self.entries)):
-                    if j != i and np.abs(chars[j] - chars[i].conj()).max() <= 1e-8:
-                        partner = j
-                        break
+            nonreal = chars[i].imag[np.abs(chars[i].imag) > 1e-8]
+            partner = _conjugate_of(chars, i) if len(nonreal) else None
             if partner is not None:
                 skip.add(partner)
-                nonreal = np.flatnonzero(np.abs(chars[i].imag) > 1e-8)[0]
-                chosen = i if chars[i].imag[nonreal] > 0 else partner
-                keep.append(self.entries[chosen])
-            else:
-                keep.append(irrep)
+                if nonreal[0] <= 0:
+                    irrep = self.entries[partner]
+            keep.append(irrep)
         return IrrepList(tuple(keep), mode="nonredundant")
+
+
+def _conjugate_of(chars: list, i: int):
+    """The first j != i whose character is the conjugate of character i within
+    1e-8, or None."""
+    return next((j for j, chi in enumerate(chars)
+                 if j != i and np.abs(chi - chars[i].conj()).max() <= 1e-8), None)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +317,10 @@ def build_quaternion8():
     qj = np.array([[0, 1], [-1, 0]], dtype=complex)
     qk = qi @ qj
     reps2 = np.stack([i2, -i2, qi, -qi, qj, -qj, qk, -qk])
-    # multiplication table from the faithful 2-dim rep
-    mul = np.empty((8, 8), dtype=np.int64)
-    for a in range(8):
-        for b in range(8):
-            prod = reps2[a] @ reps2[b]
-            matches = [c for c in range(8) if np.allclose(prod, reps2[c], atol=1e-12)]
-            mul[a, b] = matches[0]
+    # multiplication table from the faithful 2-dim rep: every entry is 0, +-1 or
+    # +-i, so each product is exact and equals exactly one element's matrix
+    prods = np.einsum("aij,bjk->abik", reps2, reps2)
+    mul = np.argmax((prods[:, :, None] == reps2).all(axis=(3, 4)), axis=2)
     group = FiniteGroup(mul, labels=labels, name="quaternion8")
 
     def one_dim(values, name):
@@ -371,12 +362,9 @@ def frobenius_schur(group: FiniteGroup, irrep: Irrep) -> int:
     squares = group.mul[np.arange(group.order), np.arange(group.order)]
     raw = irrep.character()[squares].sum() / group.order
     nearest = min((-1, 0, 1), key=lambda v: abs(raw - v))
-    if abs(raw - nearest) > 1e-4:
-        raise NumericalInconsistencyError(
-            f"indicator value {raw} is not close to -1, 0 or +1")
     if abs(raw - nearest) > 1e-8:
         raise NumericalInconsistencyError(
-            f"indicator value {raw} deviates from {nearest} beyond 1e-8")
+            f"indicator value {raw} is not within 1e-8 of -1, 0 or +1")
     return nearest
 
 
@@ -435,43 +423,3 @@ def peter_weyl_orthogonality_check(group: FiniteGroup, irreps: IrrepList) -> flo
     gram = rows @ rows.conj().T / group.order
     return float(np.abs(gram - np.eye(rows.shape[0])).max())
 
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-def group_to_dict(group: FiniteGroup, irreps: IrrepList = None) -> dict:
-    """Serialize group and irreps: matrices as [re, im] pairs, row-major per element."""
-    out = {
-        "order": group.order,
-        "mul": [int(v) for v in group.mul.reshape(-1)],
-    }
-    if group.labels is not None:
-        out["labels"] = list(group.labels)
-    if irreps is not None:
-        ser = []
-        for irrep in irreps:
-            mats = [[[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-                    for m in irrep.matrices]
-            ser.append({"dim": irrep.dim, "type": irrep.type_tag, "matrices": mats})
-        out["irreps"] = ser
-        out["irreps_mode"] = irreps.mode
-    return out
-
-
-def group_from_dict(data: dict):
-    """Inverse of :func:`group_to_dict`; validates the irreps it reads."""
-    L = int(data["order"])
-    mul = np.asarray(data["mul"], dtype=np.int64).reshape(L, L)
-    labels = tuple(data["labels"]) if "labels" in data else None
-    group = FiniteGroup(mul, labels=labels)
-    irreps = None
-    if "irreps" in data:
-        entries = []
-        for spec in data["irreps"]:
-            d = int(spec["dim"])
-            mats = np.array([[complex(re, im) for re, im in m] for m in spec["matrices"]])
-            entries.append(Irrep(mats.reshape(L, d, d), spec["type"]))
-        irreps = IrrepList(tuple(entries), mode=data.get("irreps_mode", "full"))
-        irreps.validate(group)
-    return group, irreps

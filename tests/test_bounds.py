@@ -374,6 +374,42 @@ def test_t_recursion_grid_subset():
                         assert res.holds, (L, n, k, alpha, gamma, res)
 
 
+def test_t_recursion_grid_matches_each_point_from_one_moments_call(monkeypatch):
+    alphas, gammas = [(1, 0, 2), (0, 2, 0), (2.5, 0.5, 1), (1, 2, 2)], [0, 1, 2.5]
+    want = [check_t_recursion(5, 12, 3, alpha, gamma)
+            for alpha, gamma in itertools.product(alphas, gammas)]
+    calls = []
+    real = bounds._centered_binomial_moments
+    monkeypatch.setattr(bounds, "_centered_binomial_moments",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    got = bounds._t_recursion_checks(5, 12, 3, alphas, gammas)
+    assert calls == [[0.0, 2.0, 4.0]]      # alpha-major, one exponent per distinct alpha_k
+    assert [(c.lhs, c.rhs, c.holds, c.detail) for c in got] == \
+        [(c.lhs, c.rhs, c.holds, c.detail) for c in want]
+
+
+def test_t_recursion_grid_budgets_its_largest_m_before_the_sides(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a tuple or a pmf row was built before the budget was checked")
+    monkeypatch.setattr(bounds, "_centered_binomial_moments", no_rows)
+    monkeypatch.setattr(bounds, "_partial_tuples", no_rows)
+    top = bounds._T_RECURSION_BUDGET // 31 - 1    # the largest M admitted at n = 30, k = 2
+    with pytest.raises(ResourceLimitError):
+        bounds._t_recursion_checks(3, 30, 2, [[1.0, 1.0], [0.0, 0.0]], [0, top])
+
+
+def test_t_recursion_k1_limb_sums_walk_their_row_in_blocks():
+    # one pmf row of 2·10^6 entries (16 MB), summed in blocks of columns
+    tracemalloc.start()
+    try:
+        res = check_t_recursion(3, 1_999_999, 1, [0.0], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.holds
+    assert peak <= 160 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # Order-3 moment bound
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ table's n and samples, and the trial and seed counts.  D meets ``ldlr._DEGREES``
 (md's D its walk budget) before the first degree, so D is drawn past int64
 everywhere.
 """
+import ast
 import importlib
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -147,9 +149,9 @@ NO_SIZES = {
     "experiments.RunResult", "experiments.run", "experiments.write_csv",
     "groups.FiniteGroup", "groups.Irrep", "groups.IrrepList", "groups.build_quaternion8",
     "groups.build_catalog", "groups.frobenius_schur", "groups.peter_weyl_orthogonality_check",
-    "groups.group_to_dict", "groups.group_from_dict", "ldlr.LdlrReport",
-    "ldlr.group_overlap_stat", "models.SignalVector", "models.FrequencyObservation",
-    "models.SynchObservation", "models.IndicatorObservation", "models.indicator_to_canonical",
+    "ldlr.LdlrReport", "ldlr.group_overlap_stat", "models.SignalVector",
+    "models.FrequencyObservation", "models.SynchObservation", "models.IndicatorObservation",
+    "models.indicator_to_canonical",
 }
 
 _WRONG = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.integers(-2 ** 70, 0))
@@ -166,6 +168,30 @@ def test_every_public_name_is_listed():
     public = {f"{m.__name__.rsplit('.', 1)[1]}.{name}" for m in MODULES for name in m.__all__}
     assert public - NO_SIZES - set(SPECS) == set()
     assert NO_SIZES <= public
+
+
+def _names_used(path: pathlib.Path) -> set:
+    """Every name a file reads, as a bare name, an attribute or an imported name."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a def or class statement names itself without reading it, and the package's
+    # __init__ only re-exports; the package, the demos and the benchmark are the callers
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [path for path in (root / "src").rglob("*.py") if path.name != "__init__.py"]
+    files += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    used = set().union(*map(_names_used, files))
+    assert {f"{m.__name__}.{name}" for m in MODULES for name in m.__all__
+            if name not in used} == set()
 
 
 @pytest.mark.parametrize("name, arg, kind, huge", CASES,

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from groupsynch.errors import InvalidParameterError, NumericalInconsistencyError
-from groupsynch.groups import (FiniteGroup, Irrep, build_catalog, build_cyclic,
-                               build_dihedral, build_quaternion8,
-                               frobenius_schur, group_from_dict, group_to_dict,
+from groupsynch.groups import (FiniteGroup, Irrep, IrrepList, build_catalog, build_cyclic,
+                               build_dihedral, build_quaternion8, frobenius_schur,
                                peter_weyl_orthogonality_check,
                                regular_rep_matrix, regular_rep_unitary)
 
@@ -151,6 +148,55 @@ def test_latin_square_and_associativity_rejects():
         FiniteGroup(mul)
 
 
+@pytest.mark.parametrize("mul", [np.zeros((0, 0)), [[]], [["a"]], [[0, 1], [1, 0.5]],
+                                 [[0.0, 1.0], [1.0, 0.0]], [[True, False], [False, True]],
+                                 [[0, True], [True, 0]], [[0, 1], [1]], [0, 1], 0,
+                                 [[0, 1], [1, None]], [[0, 1], [1, 2]], [[0, -1], [-1, 0]]])
+def test_bad_tables_raise_typed(mul):
+    with pytest.raises(InvalidParameterError):
+        FiniteGroup(mul)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                   np.uint32, np.int64, np.uint64])
+def test_tables_of_any_integer_dtype_are_accepted(dtype):
+    want, _ = build_cyclic(3)
+    group = FiniteGroup(want.mul.astype(dtype))
+    assert group.mul.dtype == np.int64 and np.array_equal(group.mul, want.mul)
+    assert np.array_equal(group.inverse, want.inverse) and group.identity == 0
+
+
+@pytest.mark.parametrize("name", ["cyclic(2)", "cyclic(7)", "cyclic(12)", "dihedral(3)",
+                                  "dihedral(4)", "dihedral(6)", "quaternion8"])
+def test_relabelled_catalog_tables_give_identity_and_inverses(name):
+    # element g of the catalog is element perm[g] here, so the identity is seldom 0
+    mul = build_catalog(name)[0].mul
+    perm = np.random.default_rng(25).permutation(len(mul))
+    relabelled = np.empty_like(mul)
+    relabelled[np.ix_(perm, perm)] = perm[mul]
+    group = FiniteGroup(relabelled)
+    e, inv, full = group.identity, group.inverse, np.arange(len(mul))
+    assert np.array_equal(group.mul[e], full) and np.array_equal(group.mul[:, e], full)
+    assert np.all(group.mul[full, inv] == e) and np.all(group.mul[inv, full] == e)
+
+
+def test_nonredundant_keeps_the_positive_member_where_its_pair_starts():
+    # freq-5 (negative imaginary part at g = 1) comes before its partner freq-1, with
+    # freq-3 between them; likewise freq-4 before freq-2, with the trivial irrep between
+    group, full = build_cyclic(6)
+    shuffled = IrrepList(tuple(full[i] for i in (5, 3, 1, 4, 0, 2)))
+    nr = shuffled.nonredundant()
+    assert [r.name for r in nr] == ["freq-1", "freq-3", "freq-2"]
+    nr.validate(group)
+
+
+def test_nonredundant_validation_names_the_first_conjugate_pair():
+    group, full = build_cyclic(6)
+    pairs = IrrepList((full[3], full[4], full[1], full[5], full[2]), mode="nonredundant")
+    with pytest.raises(NumericalInconsistencyError, match="entries 1 and 4 form"):
+        pairs.validate(group)
+
+
 def test_irrep_validation_catches_broken_homomorphism():
     group, full = build_cyclic(3)
     mats = full[1].matrices.copy()
@@ -166,21 +212,6 @@ def test_type_tag_must_match_indicator():
     bad = Irrep(full[2].matrices, "complex")
     with pytest.raises(NumericalInconsistencyError):
         bad.validate(group)
-
-
-def test_json_roundtrip(tmp_path):
-    group, full = build_quaternion8()
-    data = group_to_dict(group, full)
-    blob = json.dumps(data)
-    group2, full2 = group_from_dict(json.loads(blob))
-    assert np.array_equal(group.mul, group2.mul)
-    for a, b in zip(full, full2):
-        assert a.type_tag == b.type_tag
-        assert np.abs(a.matrices - b.matrices).max() < 1e-15
-    # validated on load: corrupt a matrix entry and expect a failure
-    data["irreps"][4]["matrices"][3][0] = [5.0, 0.0]
-    with pytest.raises(NumericalInconsistencyError):
-        group_from_dict(data)
 
 
 def test_frobenius_schur_rejects_non_integer_value():
