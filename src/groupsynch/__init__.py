@@ -28,7 +28,7 @@ from .errors import (ConfigError, DivergentSeriesError, GroupsynchError,
 from .experiments import (ExperimentConfig, phase_diagram, run,
                           stat_threshold_lower_bound, stat_threshold_upper_bound)
 from .groups import (FiniteGroup, Irrep, IrrepList, build_catalog, build_cyclic,
-                     build_dihedral, build_quaternion8, frobenius_schur,
+                     build_dihedral, build_quaternion8,
                      peter_weyl_orthogonality_check, regular_rep_unitary)
 from .ldlr import (LdlrReport, first_moment_via_binomial, group_overlap_stat,
                    ldlr_bruteforce_signals, ldlr_exact_multinomial, ldlr_from_md,

@@ -9,6 +9,10 @@ custom group is built from :class:`FiniteGroup`, :class:`Irrep` and
 :class:`IrrepList`, then checked with :meth:`IrrepList.validate`.
 
 Conventions:
+  * an irrep's type (real, complex or quaternionic) is read off its matrices
+    by the Frobenius-Schur indicator, never declared.  A real-type irrep is
+    given in a real basis and a quaternionic one in 2x2 quaternionic blocks,
+    the forms the GOE and GSE noise of its channel assume.
   * an irrep's ``dim`` is always its complex dimension.  Quaternionic-type
     irreps are stored in their complex form, so ``dim`` is even and the
     quaternionic dimension is ``dim // 2``.
@@ -34,7 +38,6 @@ __all__ = [
     "build_dihedral",
     "build_quaternion8",
     "build_catalog",
-    "frobenius_schur",
     "regular_rep_unitary",
     "peter_weyl_orthogonality_check",
 ]
@@ -70,9 +73,7 @@ class FiniteGroup:
         if not (np.all(np.sort(mul, axis=0) == full[:, None]) and
                 np.all(np.sort(mul, axis=1) == full[None, :])):
             raise InvalidParameterError("multiplication table is not a Latin square")
-        # Associativity, exhaustively (L <= 64 keeps this at <= 64^3 lookups):
-        # mul[mul[a, b], c] against mul[a, mul[b, c]].
-        if not np.array_equal(mul[mul], mul[:, mul]):
+        if not _is_associative(mul):
             raise InvalidParameterError("multiplication table is not associative")
         # an associative Latin square is a group: its identity and inverses exist, unique
         e = int(np.flatnonzero((mul == full).all(axis=1))[0])
@@ -93,28 +94,62 @@ class FiniteGroup:
         return self.labels[g] if self.labels is not None else str(g)
 
 
+def _is_associative(mul: np.ndarray) -> bool:
+    """Light's test: (x g) y == x (g y) for every x, y and each g of a generating set.
+
+    The g that pass are closed under products, so passing on a set that generates
+    the table proves it associative.  Each g is the first element that products of
+    the earlier picks do not reach: at most log2 L + 1 picks in a group, each
+    testing two L x L tables and closing the reached set by squaring it.
+    """
+    reached = np.zeros(len(mul), dtype=bool)
+    while not reached.all():
+        g = int(np.argmin(reached))
+        if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
+            return False
+        reached[g] = True
+        size = 0
+        while size < reached.sum():
+            size = reached.sum()
+            idx = np.flatnonzero(reached)
+            reached[mul[np.ix_(idx, idx)]] = True
+    return True
+
+
 @dataclass(frozen=True)
 class Irrep:
     """A unitary irreducible representation as a stack of matrices.
 
-    ``matrices[g]`` is the (complex) matrix of element ``g``.  ``type_tag``
-    is one of ``real``, ``complex``, ``quaternionic``.
+    ``matrices[g]`` is the (complex) matrix of element ``g``.  ``type_tag``,
+    one of ``real``, ``complex`` and ``quaternionic``, is read off the
+    matrices: the Frobenius-Schur indicator (1/L) sum_g tr(rho(g)^2) is +1, 0
+    or -1.  A real-type stack must be real and a quaternionic one in 2x2
+    quaternionic blocks.
     """
 
     matrices: np.ndarray
-    type_tag: str
-    name: str = ""
+    name: str = field(default="", kw_only=True)
+    type_tag: str = field(init=False)
 
     def __post_init__(self):
         mats = np.ascontiguousarray(np.asarray(self.matrices, dtype=np.complex128))
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise InvalidParameterError("irrep matrices must be a (L, d, d) stack")
-        if self.type_tag not in ("real", "complex", "quaternionic"):
-            raise InvalidParameterError(f"unknown type tag {self.type_tag!r}")
-        if self.type_tag == "quaternionic" and mats.shape[1] % 2:
-            raise InvalidParameterError("quaternionic irreps have even complex dimension")
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.size == 0:
+            raise InvalidParameterError("irrep matrices must be a nonempty (L, d, d) stack")
+        with np.errstate(all="ignore"):     # a non-finite value fails the test below
+            raw = np.einsum("gij,gji->", mats, mats) / len(mats)
+        nearest = min((-1, 0, 1), key=lambda v: abs(raw - v))
+        if not abs(raw - nearest) <= 1e-8:
+            raise NumericalInconsistencyError(
+                f"indicator value {raw} is not within 1e-8 of -1, 0 or +1")
+        type_tag = {1: "real", 0: "complex", -1: "quaternionic"}[nearest]
+        object.__setattr__(self, "type_tag", type_tag)
+        if type_tag == "real" and np.abs(mats.imag).max() > STRUCT_TOL:
+            raise InvalidParameterError("a real-type irrep must be given in a real basis")
+        if type_tag == "quaternionic" and not _is_quaternionic_form(mats):
+            raise InvalidParameterError("a quaternionic irrep must be given in 2x2 "
+                                        "quaternionic blocks")
 
     @property
     def dim(self) -> int:
@@ -138,7 +173,7 @@ class Irrep:
         return np.einsum("gii->g", self.matrices)
 
     def validate(self, group: FiniteGroup, tol: float = STRUCT_TOL) -> None:
-        """Check homomorphism, unitarity, type tag and (if quaternionic) block form."""
+        """Check the homomorphism property and unitarity against ``group``."""
         mats = self.matrices
         L = group.order
         if mats.shape[0] != L:
@@ -149,21 +184,16 @@ class Irrep:
         gram = np.einsum("gij,gkj->gik", mats, mats.conj())
         if np.abs(gram - np.eye(self.dim)).max() > tol:
             raise NumericalInconsistencyError("matrices are not unitary")
-        fs = frobenius_schur(group, self)
-        expected = {1: "real", 0: "complex", -1: "quaternionic"}[fs]
-        if expected != self.type_tag:
-            raise NumericalInconsistencyError(
-                f"type tag {self.type_tag!r} disagrees with indicator value {fs}")
-        if self.type_tag == "quaternionic" and not _is_quaternionic_form(mats, tol):
-            raise NumericalInconsistencyError("quaternionic 2x2 block structure violated")
 
 
-def _is_quaternionic_form(mats: np.ndarray, tol: float) -> bool:
+def _is_quaternionic_form(mats: np.ndarray) -> bool:
     # Every 2x2 block must look like [[a+bi, c+di], [-c+di, a-bi]].
     d = mats.shape[1]
+    if d % 2:
+        return False
     blocks = mats.reshape(mats.shape[0], d // 2, 2, d // 2, 2).transpose(0, 1, 3, 2, 4)
-    ok_diag = np.abs(blocks[..., 1, 1] - blocks[..., 0, 0].conj()).max() <= tol
-    ok_off = np.abs(blocks[..., 1, 0] + blocks[..., 0, 1].conj()).max() <= tol
+    ok_diag = np.abs(blocks[..., 1, 1] - blocks[..., 0, 0].conj()).max() <= STRUCT_TOL
+    ok_off = np.abs(blocks[..., 1, 0] + blocks[..., 0, 1].conj()).max() <= STRUCT_TOL
     return bool(ok_diag and ok_off)
 
 
@@ -262,8 +292,7 @@ def build_cyclic(L: int):
     entries = []
     for k in range(L):
         mats = roots[(k * np.arange(L)) % L].reshape(L, 1, 1)
-        tag = "real" if (2 * k) % L == 0 else "complex"
-        entries.append(Irrep(mats, tag, name=f"freq-{k}"))
+        entries.append(Irrep(mats, name=f"freq-{k}"))
     return group, IrrepList(tuple(entries), mode="full")
 
 
@@ -288,23 +317,20 @@ def build_dihedral(m: int):
     labels = tuple([f"r{a}" for a in range(m)] + [f"sr{a}" for a in range(m)])
     group = FiniteGroup(mul, labels=labels, name=f"dihedral({m})")
 
-    entries = [Irrep(np.ones((L, 1, 1)), "real", name="trivial")]
+    entries = [Irrep(np.ones((L, 1, 1)), name="trivial")]
     sign = np.where(np.arange(L) < m, 1.0, -1.0).reshape(L, 1, 1)
-    entries.append(Irrep(sign.astype(complex), "real", name="sign"))
+    entries.append(Irrep(sign, name="sign"))
     if m % 2 == 0:
         alt = np.array([(-1.0) ** (g % m) for g in range(L)]).reshape(L, 1, 1)
-        entries.append(Irrep(alt.astype(complex), "real", name="alt"))
-        entries.append(Irrep((alt * sign).astype(complex), "real", name="alt-sign"))
-    w = np.exp(2j * np.pi / m)
+        entries.append(Irrep(alt, name="alt"))
+        entries.append(Irrep(alt * sign, name="alt-sign"))
     kmax = (m - 1) // 2 if m % 2 else m // 2 - 1
     for k in range(1, kmax + 1):
-        mats = np.zeros((L, 2, 2), dtype=complex)
-        a = np.arange(m)
-        mats[:m, 0, 0] = w ** (k * a)
-        mats[:m, 1, 1] = w ** (-k * a)
-        mats[m:, 0, 1] = w ** (-k * a)
-        mats[m:, 1, 0] = w ** (k * a)
-        entries.append(Irrep(mats, "real", name=f"rot-{k}"))
+        # real orthogonal form: r^a -> [[c, -s], [s, c]], s r^a -> [[c, -s], [-s, -c]]
+        theta = 2 * np.pi * ((k * np.arange(m)) % m) / m
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+        entries.append(Irrep(np.concatenate([rot, rot * [[1], [-1]]]), name=f"rot-{k}"))
     return group, IrrepList(tuple(entries), mode="full")
 
 
@@ -324,14 +350,14 @@ def build_quaternion8():
     group = FiniteGroup(mul, labels=labels, name="quaternion8")
 
     def one_dim(values, name):
-        return Irrep(np.array(values, dtype=complex).reshape(8, 1, 1), "real", name=name)
+        return Irrep(np.array(values, dtype=complex).reshape(8, 1, 1), name=name)
 
     entries = [
         one_dim([1, 1, 1, 1, 1, 1, 1, 1], "trivial"),
         one_dim([1, 1, 1, 1, -1, -1, -1, -1], "sign-i"),
         one_dim([1, 1, -1, -1, 1, 1, -1, -1], "sign-j"),
         one_dim([1, 1, -1, -1, -1, -1, 1, 1], "sign-k"),
-        Irrep(reps2, "quaternionic", name="spin"),
+        Irrep(reps2, name="spin"),
     ]
     return group, IrrepList(tuple(entries), mode="full")
 
@@ -351,22 +377,8 @@ def build_catalog(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Classification and Fourier machinery
+# Fourier machinery
 # ---------------------------------------------------------------------------
-
-def frobenius_schur(group: FiniteGroup, irrep: Irrep) -> int:
-    """Indicator (1/L) * sum_g chi(g^2), rounded to {-1, 0, +1}.
-
-    +1 marks real type, 0 complex type, -1 quaternionic type.
-    """
-    squares = group.mul[np.arange(group.order), np.arange(group.order)]
-    raw = irrep.character()[squares].sum() / group.order
-    nearest = min((-1, 0, 1), key=lambda v: abs(raw - v))
-    if abs(raw - nearest) > 1e-8:
-        raise NumericalInconsistencyError(
-            f"indicator value {raw} is not within 1e-8 of -1, 0 or +1")
-    return nearest
-
 
 def _coefficient_rows(group: FiniteGroup, irreps: IrrepList) -> np.ndarray:
     """Rows of scaled matrix coefficients sqrt(d/L) * rho(g)_{ij}.

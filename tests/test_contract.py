@@ -148,7 +148,7 @@ NO_SIZES = {
     "bounds.BoundCheck", "detect.DetectionVerdict", "ensembles.NoiseMatrix",
     "experiments.RunResult", "experiments.run", "experiments.write_csv",
     "groups.FiniteGroup", "groups.Irrep", "groups.IrrepList", "groups.build_quaternion8",
-    "groups.build_catalog", "groups.frobenius_schur", "groups.peter_weyl_orthogonality_check",
+    "groups.build_catalog", "groups.peter_weyl_orthogonality_check",
     "ldlr.LdlrReport", "ldlr.group_overlap_stat", "models.SignalVector",
     "models.FrequencyObservation", "models.SynchObservation", "models.IndicatorObservation",
     "models.indicator_to_canonical",

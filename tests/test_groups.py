@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from groupsynch.errors import InvalidParameterError, NumericalInconsistencyError
 from groupsynch.groups import (FiniteGroup, Irrep, IrrepList, build_catalog, build_cyclic,
-                               build_dihedral, build_quaternion8, frobenius_schur,
+                               build_dihedral, build_quaternion8,
                                peter_weyl_orthogonality_check,
                                regular_rep_matrix, regular_rep_unitary)
 
@@ -47,8 +49,7 @@ def test_quaternion8_catalog():
     group, full = build_quaternion8()
     full.validate(group)
     quat = [r for r in full if r.type_tag == "quaternionic"]
-    assert len(quat) == 1 and quat[0].dim == 2
-    assert frobenius_schur(group, quat[0]) == -1
+    assert len(quat) == 1 and quat[0].dim == 2 and quat[0].model_dim == 1
     # one irrep per isomorphism class: 4 + 4 + ... sums to 8
     assert sorted(r.dim for r in full) == [1, 1, 1, 1, 2]
 
@@ -69,10 +70,10 @@ def test_dihedral4_identity_matrices():
 
 @pytest.mark.parametrize("L", range(2, 25))
 def test_frobenius_schur_cyclic_rule(L):
-    group, full = build_cyclic(L)
-    for k, irrep in enumerate(full):
-        expected = 1 if (2 * k) % L == 0 else 0
-        assert frobenius_schur(group, irrep) == expected
+    # the type read off the matrices: freq-k is real where 2k = 0 mod L, else complex
+    _, full = build_cyclic(L)
+    assert [r.type_tag for r in full] == ["real" if (2 * k) % L == 0 else "complex"
+                                          for k in range(L)]
 
 
 def test_regular_rep_unitary_cyclic_is_dft():
@@ -139,6 +140,40 @@ def test_trivial_irrep_normalized():
     assert abs((chi * chi.conj()).sum() / group.order - 1.0) < 1e-14
 
 
+def _isotope(mul, rng, isomorph):
+    """mul with its rows, columns and symbols permuted at random; an isomorph (rows and
+    columns by one permutation, symbols by its inverse) is again a group table."""
+    rows, cols, symbols = (rng.permutation(len(mul)) for _ in range(3))
+    if isomorph:
+        cols, symbols = rows, np.argsort(rows)
+    return symbols[mul[np.ix_(rows, cols)]]
+
+
+def test_associativity_verdict_matches_the_exhaustive_check():
+    mul, rng = build_cyclic(6)[0].mul, np.random.default_rng(26)
+    verdicts = []
+    for i in range(300):
+        iso = _isotope(mul, rng, isomorph=i % 3 == 0)
+        try:
+            FiniteGroup(iso)
+            verdict = True
+        except InvalidParameterError:
+            verdict = False
+        assert verdict == np.array_equal(iso[iso], iso[:, iso])
+        verdicts.append(verdict)
+    assert sum(verdicts) >= 100 and not all(verdicts)
+
+
+def test_associativity_check_holds_l_squared_memory():
+    tracemalloc.start()
+    try:
+        build_cyclic(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 def test_latin_square_and_associativity_rejects():
     with pytest.raises(InvalidParameterError):
         FiniteGroup(np.array([[0, 0], [1, 1]]))
@@ -198,28 +233,70 @@ def test_nonredundant_validation_names_the_first_conjugate_pair():
 
 
 def test_irrep_validation_catches_broken_homomorphism():
-    group, full = build_cyclic(3)
-    mats = full[1].matrices.copy()
-    mats[2] *= np.exp(0.3j)
-    bad = Irrep(mats, "complex")
-    with pytest.raises(NumericalInconsistencyError):
-        bad.validate(group)
-
-
-def test_type_tag_must_match_indicator():
+    # freq-2 of cyclic(4) with rho(1) = +1: the indicator is still 1, so the stack
+    # is built (real type) and only the homomorphism check refuses it
     group, full = build_cyclic(4)
-    # frequency 2 is real-valued; claiming complex must fail validation
-    bad = Irrep(full[2].matrices, "complex")
-    with pytest.raises(NumericalInconsistencyError):
+    mats = full[2].matrices.copy()
+    mats[1] = 1.0
+    bad = Irrep(mats)
+    assert bad.type_tag == "real"
+    with pytest.raises(NumericalInconsistencyError, match="homomorphism"):
         bad.validate(group)
 
 
 def test_frobenius_schur_rejects_non_integer_value():
-    group, full = build_cyclic(4)
-    mats = full[2].matrices * np.exp(0.2j)  # break the homomorphism
-    skewed = Irrep(mats, "real")
-    with pytest.raises(NumericalInconsistencyError):
-        frobenius_schur(group, skewed)
+    _, full = build_cyclic(4)
+    skewed = full[2].matrices * np.exp(0.2j)    # indicator exp(0.4i)
+    with pytest.raises(NumericalInconsistencyError, match="not within 1e-8"):
+        Irrep(skewed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_irrep_with_a_non_finite_indicator_is_refused_typed(value):
+    with pytest.raises(NumericalInconsistencyError, match="indicator value"):
+        Irrep(np.array([[[value]], [[1.0]]]))
+
+
+def test_irrep_takes_no_declared_type():
+    _, full = build_cyclic(4)
+    with pytest.raises(TypeError):
+        Irrep(full[2].matrices, "real")
+    with pytest.raises(InvalidParameterError):
+        Irrep(np.zeros((0, 1, 1)))
+
+
+def test_real_type_in_a_complex_basis_is_refused():
+    # the complex-basis rot-1 of dihedral(3): diag(w^a, w^-a) on rotations
+    m, a = 3, np.arange(3)
+    w = np.exp(2j * np.pi / m)
+    mats = np.zeros((2 * m, 2, 2), dtype=complex)
+    mats[:m, 0, 0], mats[:m, 1, 1] = w ** a, w ** -a
+    mats[m:, 0, 1], mats[m:, 1, 0] = w ** -a, w ** a
+    with pytest.raises(InvalidParameterError, match="real basis"):
+        Irrep(mats)
+
+
+def test_quaternionic_type_off_its_block_form_is_refused():
+    q8, q8_full = build_quaternion8()
+    d3, d3_full = build_dihedral(3)
+    spin, rot = q8_full[4].matrices, d3_full[2].matrices
+    rng = np.random.default_rng(26)
+    v, u = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            for d in (2, 4))
+    # in two dimensions a unitary change of basis keeps the 2x2 quaternionic form
+    assert Irrep(v @ spin @ v.conj().T).type_tag == "quaternionic"
+    # spin x rot-1 of quaternion8 x dihedral(3): 4 x 4, indicator (-1)(+1) = -1,
+    # in blocks rot_ij * spin until a generic unitary mixes them
+    product = FiniteGroup((q8.mul[:, None, :, None] * 6 + d3.mul[None, :, None, :])
+                          .reshape(48, 48))
+    blocks = Irrep(np.array([np.kron(r, q) for q in spin for r in rot]))
+    assert blocks.type_tag == "quaternionic" and blocks.model_dim == 2
+    blocks.validate(product)
+    with pytest.raises(InvalidParameterError, match="quaternionic blocks"):
+        Irrep(u @ blocks.matrices @ u.conj().T)
+    with pytest.raises(InvalidParameterError, match="quaternionic blocks"):
+        Irrep(np.full((2, 1, 1), 1j))       # indicator -1 in one dimension
 
 
 def test_nontrivial_irrep_matrices_sum_to_zero():
