@@ -6,7 +6,7 @@ Representations are dense complex matrices, one per element.  The catalog
 covers cyclic groups, dihedral groups and the quaternion group of order 8,
 with hard-coded analytic irreps.  Irreps of other groups are not computed: a
 custom group is built from :class:`FiniteGroup`, :class:`Irrep` and
-:class:`IrrepList`, then checked with :meth:`IrrepList.validate`.
+:class:`IrrepList`; :meth:`IrrepList.validate` checks homomorphism and unitarity.
 
 Conventions:
   * an irrep's type (real, complex or quaternionic) is read off its matrices
@@ -16,14 +16,16 @@ Conventions:
   * an irrep's ``dim`` is always its complex dimension.  Quaternionic-type
     irreps are stored in their complex form, so ``dim`` is even and the
     quaternionic dimension is ``dim // 2``.
-  * the non-redundant list drops the trivial irrep and keeps one irrep per
-    conjugate pair: the member whose first non-real character value has
-    positive imaginary part (ties broken by list order).
+  * a list is nonredundant, read off its entries, when none is trivial and no
+    two have conjugate characters.  ``nonredundant()`` keeps from each conjugate
+    pair the member whose first non-real character value has positive imaginary
+    part (ties broken by list order), and drops the trivial irrep.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +66,12 @@ class FiniteGroup:
         if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
             raise InvalidParameterError("multiplication table must be square and nonempty")
         L = table.shape[0]
-        if not all(map(integer(0, L - 1).holds, table.flat)):   # no bool, float or string
-            raise InvalidParameterError("table entries must be element indices: "
-                                        f"integers in [0, {L - 1}]")
+        rule = integer(0, L - 1)
+        # the rule refuses a bool, float or string by its type, so it tests one entry per
+        # distinct type; every entry is then an integer, in range if the extremes are
+        if not (all(map(rule.holds, dict(zip(map(type, table.flat), table.flat)).values()))
+                and rule.holds(table.min()) and rule.holds(table.max())):
+            raise InvalidParameterError(f"each table entry must be an element index, {rule}")
         mul = table.astype(np.int64)
         # Latin square: every row and column is a permutation.
         full = np.arange(L)
@@ -199,21 +204,19 @@ def _is_quaternionic_form(mats: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class IrrepList:
-    """An ordered list of irreps with a declared convention.
+    """An ordered list of irreps whose convention is read off its entries.
 
-    ``mode="full"`` means one irrep per isomorphism class (trivial included,
-    conjugate pairs both present), so complex dimensions satisfy
-    sum(d^2) == |G|.  ``mode="nonredundant"`` means the trivial irrep is
-    excluded and exactly one irrep per conjugate pair is kept.
+    A full list holds one irrep per isomorphism class, the trivial one and both
+    members of each conjugate pair, so complex dimensions satisfy
+    sum(d^2) == |G|; :func:`regular_rep_unitary` checks that count.  A list is
+    nonredundant when no entry is trivial and no two entries have conjugate
+    characters: one observed channel per entry, the list a group model takes.
     """
 
     entries: tuple
-    mode: str = "full"
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.mode not in ("full", "nonredundant"):
-            raise InvalidParameterError(f"unknown mode {self.mode!r}")
 
     def __iter__(self):
         return iter(self.entries)
@@ -225,52 +228,57 @@ class IrrepList:
         return self.entries[i]
 
     def validate(self, group: FiniteGroup, tol: float = STRUCT_TOL) -> None:
+        """Check each entry's homomorphism property and unitarity against ``group``."""
         for irrep in self.entries:
             irrep.validate(group, tol)
-        if self.mode == "full":
-            if sum(r.dim ** 2 for r in self.entries) != group.order:
-                raise NumericalInconsistencyError(
-                    "full list must satisfy the dimension count sum(d^2) == |G|")
-        else:
-            if any(r.is_trivial for r in self.entries):
-                raise NumericalInconsistencyError("nonredundant list contains the trivial irrep")
-            chars = [r.character() for r in self.entries]
-            for i in range(len(chars)):
-                j = _conjugate_of(chars, i)
-                if j is not None:       # the first such i finds its first partner past it
-                    raise NumericalInconsistencyError(
-                        f"entries {i} and {j} form a conjugate pair")
+
+    @property
+    def is_nonredundant(self) -> bool:
+        """No entry is trivial and no two entries have conjugate characters."""
+        return self._redundancy is None
+
+    @cached_property
+    def _redundancy(self):
+        """The first trivial entry, or else the first conjugate pair, in words; None if
+        the list is nonredundant."""
+        trivial = [i for i, r in enumerate(self.entries) if r.is_trivial]
+        pairs = [(i, j) for i, j in enumerate(self._partners) if j is not None]
+        if trivial:
+            return f"entry {trivial[0]} is the trivial irrep"
+        # the first i with a partner finds its first partner past it
+        return "entries %d and %d form a conjugate pair" % pairs[0] if pairs else None
+
+    @cached_property
+    def _partners(self) -> list:
+        """Per entry, the first other entry whose character is within 1e-8 of the
+        conjugate of its own at every element, or None.  Such a character's projection
+        Re(.) @ w + Im(.) @ v is within 1e-8 (sum|w| + sum|v|) of the conjugate's, so one
+        sort finds the candidates in twice that window and the 1e-8 test confirms each."""
+        chars = np.array([r.character() for r in self.entries] or np.empty((0, 0)))
+        # sines of integers: constant weights would send every nontrivial character to 0
+        w, v = np.sin(np.arange(1.0, 2 * chars.shape[1] + 1)).reshape(2, -1)
+        own, conj = chars.real @ w + chars.imag @ v, chars.real @ w - chars.imag @ v
+        order = np.argsort(own)
+        window = 2e-8 * (np.abs(w).sum() + np.abs(v).sum())
+        lo = np.searchsorted(own[order], conj - window)
+        hi = np.searchsorted(own[order], conj + window, side="right")
+        return [min((int(j) for j in order[lo[i]:hi[i]]
+                     if j != i and np.abs(chars[j] - chi.conj()).max() <= 1e-8), default=None)
+                for i, chi in enumerate(chars)]
 
     def nonredundant(self) -> "IrrepList":
-        """Reduce a full list to the nonredundant convention.
-
-        Keeps, from each conjugate pair, the irrep whose first non-real
-        character entry has positive imaginary part, where the pair's first
-        member sits.
-        """
-        if self.mode == "nonredundant":
-            return self
-        keep = []
-        skip = set()
-        chars = [r.character() for r in self.entries]
+        """Drop the trivial irrep and keep, from each conjugate pair, the irrep whose
+        first non-real character value has positive imaginary part, where the pair's
+        first member sits."""
+        keep, skip = [], set()
         for i, irrep in enumerate(self.entries):
-            if i in skip or irrep.is_trivial:
-                continue
-            nonreal = chars[i].imag[np.abs(chars[i].imag) > 1e-8]
-            partner = _conjugate_of(chars, i) if len(nonreal) else None
-            if partner is not None:
+            imag = irrep.character().imag
+            nonreal = imag[np.abs(imag) > 1e-8]
+            partner = self._partners[i] if len(nonreal) else None
+            if i not in skip and not irrep.is_trivial:
                 skip.add(partner)
-                if nonreal[0] <= 0:
-                    irrep = self.entries[partner]
-            keep.append(irrep)
-        return IrrepList(tuple(keep), mode="nonredundant")
-
-
-def _conjugate_of(chars: list, i: int):
-    """The first j != i whose character is the conjugate of character i within
-    1e-8, or None."""
-    return next((j for j, chi in enumerate(chars)
-                 if j != i and np.abs(chi - chars[i].conj()).max() <= 1e-8), None)
+                keep.append(irrep if partner is None or nonreal[0] > 0 else self.entries[partner])
+        return IrrepList(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +297,8 @@ def build_cyclic(L: int):
     labels = tuple(str(g) for g in range(L))
     group = FiniteGroup(mul, labels=labels, name=f"cyclic({L})")
     roots = np.exp(2j * np.pi * np.arange(L) / L)
-    entries = []
-    for k in range(L):
-        mats = roots[(k * np.arange(L)) % L].reshape(L, 1, 1)
-        entries.append(Irrep(mats, name=f"freq-{k}"))
-    return group, IrrepList(tuple(entries), mode="full")
+    return group, IrrepList(Irrep(roots[(k * np.arange(L)) % L].reshape(L, 1, 1), name=f"freq-{k}")
+                            for k in range(L))
 
 
 _DIHEDRAL_M = integer(3)    # the catalog's dihedral groups start at the triangle's
@@ -307,13 +312,9 @@ def build_dihedral(m: int):
     """
     L = 2 * _DIHEDRAL_M.check("m", m)
 
-    def prod(x, y):
-        ax, sx = x % m, x // m
-        ay, sy = y % m, y // m
-        a = (ay + (ax if sy == 0 else -ax)) % m
-        return ((sx + sy) % 2) * m + a
-
-    mul = np.array([[prod(x, y) for y in range(L)] for x in range(L)])
+    # g = s^f r^a with f = g // m, a = g % m: (s^f r^a)(s^f' r^a') = s^(f+f') r^(a' + (-1)^f' a)
+    a, f = np.arange(L) % m, np.arange(L) // m
+    mul = (f[:, None] ^ f) * m + (a + (1 - 2 * f) * a[:, None]) % m
     labels = tuple([f"r{a}" for a in range(m)] + [f"sr{a}" for a in range(m)])
     group = FiniteGroup(mul, labels=labels, name=f"dihedral({m})")
 
@@ -331,7 +332,7 @@ def build_dihedral(m: int):
         c, s = np.cos(theta), np.sin(theta)
         rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
         entries.append(Irrep(np.concatenate([rot, rot * [[1], [-1]]]), name=f"rot-{k}"))
-    return group, IrrepList(tuple(entries), mode="full")
+    return group, IrrepList(entries)
 
 
 def build_quaternion8():
@@ -359,7 +360,7 @@ def build_quaternion8():
         one_dim([1, 1, -1, -1, -1, -1, 1, 1], "sign-k"),
         Irrep(reps2, name="spin"),
     ]
-    return group, IrrepList(tuple(entries), mode="full")
+    return group, IrrepList(entries)
 
 
 _CATALOG_RE = re.compile(r"^(cyclic|dihedral)\((\d+)\)$|^quaternion8$")
@@ -404,8 +405,6 @@ def regular_rep_unitary(group: FiniteGroup, irreps: IrrepList, tol: float = STRU
     each irrep's matrix repeated (complex dimension) times.
     """
     NONNEGATIVE.check("tol", tol)
-    if irreps.mode != "full":
-        raise InvalidParameterError("regular representation needs the full irrep list")
     if sum(r.dim ** 2 for r in irreps) != group.order:
         raise InvalidParameterError("irrep dimension count does not match group order")
     U = _coefficient_rows(group, irreps)

@@ -454,8 +454,9 @@ def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts):
     representation-based and count-based evaluations.  ``counts`` may be a
     (..., order) batch; a single count vector gives a float.
     """
-    if irreps.mode != "nonredundant":
-        raise InvalidParameterError("overlap expects a nonredundant irrep list")
+    if not irreps.is_nonredundant:
+        raise InvalidParameterError("overlap expects a nonredundant irrep list: "
+                                    + irreps._redundancy)
     counts = np.asarray(counts, dtype=float)
     total = 0.0
     for irrep in irreps:

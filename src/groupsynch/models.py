@@ -273,10 +273,11 @@ class Model:
                 raise InvalidParameterError("group model needs a group")
             if self.irreps is None:
                 raise InvalidParameterError("group model needs an irrep list")
-            if self.irreps.mode != "nonredundant":
-                raise InvalidParameterError("group model needs a nonredundant irrep list")
             if any(irrep.matrices.shape[0] != self.group.order for irrep in self.irreps):
                 raise InvalidParameterError("irrep size does not match group order")
+            if not self.irreps.is_nonredundant:
+                raise InvalidParameterError("group model needs a nonredundant irrep list: "
+                                            + self.irreps._redundancy)
 
     @classmethod
     def from_name(cls, name: str, L: int = None, snr: float = 0.0) -> "Model":
@@ -356,8 +357,6 @@ def indicator_to_canonical(obs: IndicatorObservation, group: FiniteGroup,
     of a conjugate pair are kept, since their score-table noises are
     independent.  The map is linear in the score tables.
     """
-    if irreps.mode != "full":
-        raise InvalidParameterError("change of basis needs the full irrep list")
     L = group.order
     if obs.scores.shape != (obs.n, obs.n, L):
         raise InvalidParameterError("score table shape does not match the group")

@@ -8,6 +8,7 @@ from groupsynch.groups import (FiniteGroup, Irrep, IrrepList, build_catalog, bui
                                build_dihedral, build_quaternion8,
                                peter_weyl_orthogonality_check,
                                regular_rep_matrix, regular_rep_unitary)
+from groupsynch.models import Model
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 6, 7, 12])
@@ -227,9 +228,50 @@ def test_nonredundant_keeps_the_positive_member_where_its_pair_starts():
 
 def test_nonredundant_validation_names_the_first_conjugate_pair():
     group, full = build_cyclic(6)
-    pairs = IrrepList((full[3], full[4], full[1], full[5], full[2]), mode="nonredundant")
-    with pytest.raises(NumericalInconsistencyError, match="entries 1 and 4 form"):
-        pairs.validate(group)
+    pairs = IrrepList((full[3], full[4], full[1], full[5], full[2]))
+    pairs.validate(group)       # each entry is an irrep; the list is just not nonredundant
+    assert not pairs.is_nonredundant
+    with pytest.raises(InvalidParameterError, match="entries 1 and 4 form"):
+        Model("group", group=group, irreps=pairs)
+
+
+def _first_conjugate(chars, i):
+    """The pairwise reference: the first j != i whose character is within 1e-8 of
+    conj(chars[i]) at every element, or None."""
+    return next((j for j, chi in enumerate(chars)
+                 if j != i and np.abs(chi - chars[i].conj()).max() <= 1e-8), None)
+
+
+@pytest.mark.parametrize("name", ["cyclic(6)", "cyclic(31)", "dihedral(6)", "quaternion8"])
+def test_conjugate_pair_search_matches_the_pairwise_loop(name):
+    # sub-lists, shuffles and repeats of the catalog list, then the shuffled full list
+    # with every complex character moved by up to 4e-9, which keeps each pair within 1e-8
+    _, full = build_catalog(name)
+    rng = np.random.default_rng(27)
+    lists = [IrrepList(full[i] for i in rng.integers(0, len(full), rng.integers(0, 2 * len(full))))
+             for _ in range(40)]
+    noise = [4e-9 * (rng.random(r.matrices.shape) - 0.5) * (1 + 1j) * (r.type_tag == "complex")
+             for r in full]
+    lists.append(IrrepList(Irrep(full[i].matrices + noise[i], name=full[i].name)
+                           for i in rng.permutation(len(full))))
+    for irreps in lists:
+        chars = [r.character() for r in irreps]
+        assert irreps._partners == [_first_conjugate(chars, i) for i in range(len(chars))]
+
+
+def test_dihedral_table_follows_the_product_rule():
+    # (s^f r^a)(s^f' r^a') = s^(f+f') r^(a' + (-1)^f' a), element by element
+    for m in range(3, 9):
+        want = [[(f + g) % 2 * m + (b + (-a if g else a)) % m
+                 for g in (0, 1) for b in range(m)] for f in (0, 1) for a in range(m)]
+        assert np.array_equal(build_dihedral(m)[0].mul, want)
+
+
+def test_irrep_list_takes_no_declared_mode():
+    _, full = build_cyclic(4)
+    with pytest.raises(TypeError):
+        IrrepList(full.entries, mode="full")
+    assert not full.is_nonredundant and full.nonredundant().is_nonredundant
 
 
 def test_irrep_validation_catches_broken_homomorphism():

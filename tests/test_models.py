@@ -6,8 +6,9 @@ import pytest
 from scipy import stats
 
 from groupsynch.errors import InvalidParameterError
-from groupsynch.groups import (build_catalog, build_cyclic, build_quaternion8,
-                               regular_rep_unitary)
+from groupsynch.groups import (Irrep, IrrepList, build_catalog, build_cyclic,
+                               build_quaternion8, regular_rep_unitary)
+from groupsynch.ldlr import group_overlap_stat
 from groupsynch.models import (Model, indicator_to_canonical,
                                sample_gsynch_circle, sample_gsynch_cyclic,
                                sample_gsynch_group, sample_indicator,
@@ -593,6 +594,45 @@ def test_group_model_checks_its_irrep_list():
         Model("group", group=group, irreps=other.nonredundant())   # one matrix per element of C3
     with pytest.raises(InvalidParameterError):
         sample_gsynch_group(group, other.nonredundant(), 1.0, 5, seed=0)
+
+
+@pytest.mark.parametrize("name, drop, named", [
+    ("dihedral(3)", 0, "entry 0 is the trivial irrep"),
+    ("cyclic(6)", 1, "entries 0 and 4 form a conjugate pair")])
+def test_group_models_refuse_a_trivial_entry_or_a_conjugate_pair(name, drop, named):
+    # the full dihedral(3) list would add a trivial channel; cyclic(6) without its
+    # trivial irrep still holds freq-1 and freq-5
+    group, full = build_catalog(name)
+    irreps = IrrepList(full.entries[drop:])
+    for refused in (lambda: Model("group", group=group, irreps=irreps),
+                    lambda: sample_gsynch_group(group, irreps, 0.8, 5, seed=1),
+                    lambda: group_overlap_stat(group, irreps, np.ones(group.order))):
+        with pytest.raises(InvalidParameterError, match=named):
+            refused()
+
+
+def test_an_irrep_list_is_read_for_redundancy_once(monkeypatch):
+    group, full = build_cyclic(6)
+    nr = full.nonredundant()
+    calls, character = [], Irrep.character
+    monkeypatch.setattr(Irrep, "character", lambda self: calls.append(self) or character(self))
+    for snr in (0.0, 0.5, 1.0):
+        Model("group", snr=snr, group=group, irreps=nr).sample(3, seed=1)
+    assert len(calls) == len(nr)
+
+
+@pytest.mark.parametrize("name", ["cyclic(6)", "dihedral(4)", "quaternion8"])
+def test_change_of_basis_takes_a_full_list_in_any_order(name):
+    group, full = build_catalog(name)
+    shuffled = IrrepList(full[i] for i in np.random.default_rng(27).permutation(len(full)))
+    regular_rep_unitary(group, shuffled)
+    obs = sample_indicator(group, 4, 0.7, seed=5)
+    want = {f.label: f.matrix for f in indicator_to_canonical(obs, group, full).freqs}
+    got = {f.label: f.matrix for f in indicator_to_canonical(obs, group, shuffled).freqs}
+    assert want.keys() == got.keys()
+    assert all(np.array_equal(got[label], want[label]) for label in want)
+    with pytest.raises(InvalidParameterError, match="dimension count"):
+        regular_rep_unitary(group, full.nonredundant())
 
 
 @pytest.mark.parametrize("snr", [np.nan, -0.9, np.inf])
