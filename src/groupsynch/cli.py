@@ -27,8 +27,8 @@ from . import models as models_mod
 from ._rules import SIZE
 from .ensembles import EnsembleKind, sample
 from .errors import ConfigError, GroupsynchError, InvalidParameterError
-from .experiments import (_PRIORS, _ROUTES, KINDS, ExperimentConfig, _atomic_write,
-                          _ldlr_report, _load_json, run, write_csv)
+from .experiments import (_PRIORS, KINDS, ExperimentConfig, _atomic_write, _ldlr_report,
+                          _load_json, run, write_csv)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -283,10 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample_ensemble)
 
     p = sub.add_parser("ldlr", help="degree-D likelihood-ratio second moment")
-    p.add_argument("--method", choices=tuple(_ROUTES), required=True)
+    p.add_argument("--method", choices=tuple(ldlr_mod._ROUTES), required=True)
     p.add_argument("--prior", choices=_PRIORS, default="cyclic")
-    p.add_argument("--statistic", choices=("pearson", "all_frequencies"),
-                   help="default: the route's own statistic")
+    p.add_argument("--statistic", help="default: the route's own statistic")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="snr", type=float, required=True)
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ldlr)
 
     p = sub.add_parser("md-count", help="zero-sum tuple-family cardinalities")
-    p.add_argument("--prior", choices=("circle", "cyclic"), required=True)
+    p.add_argument("--prior", choices=tuple(ldlr_mod._ROUTES["md"][0]), required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--D", type=int, required=True)

@@ -7,9 +7,9 @@ Rows are flat dicts; every row carries the config hash and the seed.  A
 check row's verdict is its ``pass`` column, and :func:`run` reads the
 failures off those rows: one message per row whose ``pass`` is false.  The
 manifest records library versions, the bundled OpenBLAS libraries with
-their thread counts, wall time, and the failures.  ``_ROUTES`` says which
-statistic each LDLR route computes and the rule it checks L against; the CLI,
-the sweep and phase diagram read it.  ``_KINDS`` holds each suite kind's
+their thread counts, wall time, and the failures.  The config check, the CLI, the
+sweep and the phase diagram read each LDLR route's contract and call off
+``ldlr._ROUTES``.  ``_KINDS`` holds each suite kind's
 runner and, per param, its default and the rule of the function that reads
 it; every param is checked against that rule before any row, and a bad one is
 a ``ConfigError`` naming it.
@@ -50,17 +50,7 @@ __all__ = [
 ]
 
 _BUDGETS = ("enumeration", "md")      # count vectors; md walk transitions
-# What each LDLR route computes: method -> ({prior: its statistics there, its own first},
-# has a rational form, the rule its own entry checks L against); md's all_frequencies
-# includes the trivial channel on cyclic priors, and mc's L rule is its model's
-# (Model.from_name)
-_ROUTES = {
-    "exact": ({"cyclic": ("pearson", "all_frequencies")}, True, ORDER),
-    "brute": ({"cyclic": ("pearson", "all_frequencies")}, True, ORDER),
-    "md": ({"circle": ("all_frequencies",), "cyclic": ("all_frequencies",)}, True, SIZE),
-    "mc": ({"circle": ("all_frequencies",), "cyclic": ("pearson",)}, False, None),
-}
-_PRIORS = tuple(sorted({prior for stats, *_ in _ROUTES.values() for prior in stats}))
+_PRIORS = tuple(sorted({prior for stats, *_ in ldlr_mod._ROUTES.values() for prior in stats}))
 
 
 class _Instance(tuple):
@@ -142,7 +132,7 @@ class ExperimentConfig:
             raise ConfigError("params.prior", f"must be one of {_PRIORS}")
         for method in self.params.get("methods", ()):
             _check_route(method, self.params["prior"], None, False, "params.methods")
-            L_rule = _ROUTES[method][2]
+            L_rule = ldlr_mod._ROUTES[method][2]
             for L in self.params["L_grid"]:     # and the L rule of each chosen route
                 try:
                     if L_rule is None:
@@ -263,34 +253,25 @@ def stat_threshold_upper_bound(L: int) -> float:
 # Suite runners
 # ---------------------------------------------------------------------------
 
-def _check_route(method: str, prior: str, statistic, exact: bool, field: str) -> str:
-    """The statistic ``method`` computes on ``prior`` (its own if ``statistic`` is None),
-    or a ConfigError under ``field``, ``statistic`` or ``rational``, read off ``_ROUTES``."""
-    stats, rational, _ = _ROUTES.get(method, ({}, False, None))
+def _check_route(method: str, prior: str, statistic, exact: bool, field: str) -> None:
+    """A ConfigError under ``field``, ``statistic`` or ``rational`` unless ``method``'s row of
+    ``ldlr._ROUTES`` covers ``prior``, ``statistic`` (None: its own) and ``exact``."""
+    stats, rational, *_ = ldlr_mod._ROUTES.get(method, ({}, False))
     if prior not in stats:
         raise ConfigError(field, f"no {method!r} route covers the {prior} prior")
     if statistic is not None and statistic not in stats[prior]:
         raise ConfigError("statistic", f"{method} computes {'/'.join(stats[prior])} on {prior}")
     if exact and not rational:
         raise ConfigError("rational", f"the {method} route has no rational form")
-    return stats[prior][0] if statistic is None else statistic
 
 
 def _ldlr_report(method, prior, L, n, snr, D, *, exact, statistic, samples, seed,
                  budgets) -> ldlr_mod.LdlrReport:
-    """The LDLR route for one method, exact, brute, md or mc, once _check_route passes;
-    a budget missing from ``budgets`` is the library default."""
-    statistic = _check_route(method, prior, statistic, exact, "prior")
-    if method in ("exact", "brute"):
-        route = (ldlr_mod.ldlr_exact_multinomial if method == "exact"
-                 else ldlr_mod.ldlr_bruteforce_signals)
-        return route(L, n, snr, D, exact=exact, statistic=statistic,
-                     budget=budgets.get("enumeration", ldlr_mod.DEFAULT_BUDGET))
-    if method == "md":
-        return ldlr_mod.ldlr_from_md(prior, L, n, snr, D, exact=exact,
-                                     budget=budgets.get("md", ldlr_mod.MD_BUDGET))
-    return ldlr_mod.ldlr_montecarlo_overlap(models_mod.Model.from_name(prior, L, snr), n, D,
-                                            samples, seed=seed)
+    """The report of ``method``'s row of ``ldlr._ROUTES``, once _check_route passes."""
+    _check_route(method, prior, statistic, exact, "prior")
+    return ldlr_mod._ROUTES[method][3](
+        prior=prior, L=L, n=n, lam=snr, D=D, exact=exact, statistic=statistic,
+        samples=samples, seed=seed, budgets=budgets)
 
 
 def _run_ldlr_sweep(cfg: ExperimentConfig):
@@ -463,6 +444,8 @@ def _run_phase_diagram(cfg: ExperimentConfig):
 
     Each term t_d scales as snr^(2d), on the Monte-Carlo fallback too (every
     snr draws the same signals), so a row's cumulative is sum_d t_d snr^(2d).
+    With ``trials`` > 0, one power curve per L over the snr grid gives every
+    row of that L its power and the one calibrated threshold's type-I rate.
     """
     rows = []
     p = cfg.params
@@ -477,15 +460,16 @@ def _run_phase_diagram(cfg: ExperimentConfig):
             # the count vectors C(n+L-1, L-1) outgrow the budget for large L;
             # fall back to the Monte-Carlo overlap route
             method, rep = "mc", _ldlr_report("mc", "cyclic", L, p["n"], 1.0, D, **route)
-        for snr in p["snr_grid"]:
+        powers = [{}] * len(p["snr_grid"]) if not p["trials"] else power_curve(
+            models_mod.Model("cyclic", L=L), p["power_n"], p["snr_grid"], p["trials"],
+            seed=cfg.seed)
+        for snr, pw in zip(p["snr_grid"], powers):
             try:
                 cumulative = sum(t * float(snr) ** (2 * d) for d, t in enumerate(rep.terms))
             except OverflowError:       # snr^(2d) past the float range
                 cumulative = math.inf
             if not math.isfinite(cumulative):
                 raise NumericalOverflowError(f"cumulative at L={L}, snr={snr} overflowed")
-            pw = power_curve(models_mod.Model("cyclic", L=L, snr=snr), p["power_n"], [snr],
-                             p["trials"], seed=cfg.seed)[0] if p["trials"] else {}
             rows.append({"L": L, "snr": snr, "n": p["n"], "D": D,
                          "stat_lower": lb, "stat_upper": ub, "spectral": 1.0,
                          "ldlr_method": method, "ldlr_cumulative": cumulative,

@@ -62,14 +62,18 @@ class FiniteGroup:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        table = np.array(self.mul, dtype=object)
+        # an integer array is read as it is; any other table as Python objects, whose
+        # entries the rule tests by type (it refuses a bool, float or string by its type),
+        # one entry per distinct type
+        integral = isinstance(self.mul, np.ndarray) and self.mul.dtype.kind in "iu"
+        table = self.mul if integral else np.array(self.mul, dtype=object)
         if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
             raise InvalidParameterError("multiplication table must be square and nonempty")
         L = table.shape[0]
         rule = integer(0, L - 1)
-        # the rule refuses a bool, float or string by its type, so it tests one entry per
-        # distinct type; every entry is then an integer, in range if the extremes are
-        if not (all(map(rule.holds, dict(zip(map(type, table.flat), table.flat)).values()))
+        by_type = () if integral else dict(zip(map(type, table.flat), table.flat)).values()
+        # every entry is then an integer, in range if the extremes are
+        if not (all(map(rule.holds, by_type))
                 and rule.holds(table.min()) and rule.holds(table.max())):
             raise InvalidParameterError(f"each table entry must be an element index, {rule}")
         mul = table.astype(np.int64)

@@ -43,9 +43,10 @@ Routes:
     sampled signals, drawn in fixed-size chunks for finite priors, and
     reports the standard error of each mean.
 
-Every report names the statistic it computed in ``params["statistic"]`` (md:
-``all_frequencies``; mc: ``all_frequencies`` on the circle, ``pearson`` on finite
-priors).  The three rational routes turn moments into terms through ``_terms``.
+``_ROUTES`` holds each route's contract: the priors it covers with the statistics it
+computes on each, its rational form, its L rule and its call; each route checks its
+arguments against its own row.  Every report names the statistic it computed in
+``params["statistic"]``.  The three rational routes turn moments into terms through ``_terms``.
 
 :func:`moment_table` reads the moments E[s^d] back off the exact route's
 terms, and :func:`polylog_neg` evaluates, in closed form, the negative-order
@@ -98,6 +99,25 @@ _CHUNK_ENTRIES = 1 << 16
 # regime up to n = 1e9.  md's walk budget bounds its D instead.
 _DEGREES = integer(0, 1000)
 
+# Each LDLR route: method -> ({prior: its statistics there, its own first}, has a rational
+# form, the rule its entry checks L against (mc's is its model's), its call).  Every call
+# takes the same keywords and reaches its route through the module attribute when it runs,
+# so a rebound route is the one that runs; a budget missing from ``budgets`` is the default.
+_ROUTES = {
+    "exact": ({"cyclic": ("pearson", "all_frequencies")}, True, ORDER,
+              lambda L, n, lam, D, exact, statistic, budgets, **_: ldlr_exact_multinomial(
+                  L, n, lam, D, exact, statistic, budgets.get("enumeration", DEFAULT_BUDGET))),
+    "brute": ({"cyclic": ("pearson", "all_frequencies")}, True, ORDER,
+              lambda L, n, lam, D, exact, statistic, budgets, **_: ldlr_bruteforce_signals(
+                  L, n, lam, D, exact, statistic, budgets.get("enumeration", DEFAULT_BUDGET))),
+    "md": ({"circle": ("all_frequencies",), "cyclic": ("all_frequencies",)}, True, SIZE,
+           lambda prior, L, n, lam, D, exact, budgets, **_: ldlr_from_md(
+               prior, L, n, lam, D, exact, budgets.get("md", MD_BUDGET))),
+    "mc": ({"circle": ("all_frequencies",), "cyclic": ("pearson",)}, False, None,
+           lambda prior, L, n, lam, D, samples, seed, **_: ldlr_montecarlo_overlap(
+               Model.from_name(prior, L, lam), n, D, samples, seed)),
+}
+
 
 @dataclass(frozen=True)
 class LdlrReport:
@@ -120,11 +140,6 @@ class LdlrReport:
 # ---------------------------------------------------------------------------
 # Count statistics
 # ---------------------------------------------------------------------------
-
-def _check_statistic(statistic):
-    if statistic not in ("pearson", "all_frequencies"):
-        raise InvalidParameterError(f"unknown statistic {statistic!r}")
-
 
 def _terms(moments, lam, n: int, exact: bool) -> tuple:
     """Terms t_d = lam^(2d) E[s^d] / (n^d d!) from the rational moments E[s^d],
@@ -188,13 +203,22 @@ def moment_table(L: int, n: int, D: int, exact: bool = False,
 # Exact multinomial route
 # ---------------------------------------------------------------------------
 
-def _check_route_args(L: int, n: int, lam, D: int, budget: int, L_rule=ORDER,
-                      D_rule=_DEGREES) -> None:
+def _check_route_args(method: str, prior, statistic, L: int, n: int, lam, D: int,
+                      budget: int, D_rule=_DEGREES) -> str:
+    """The statistic to compute, once the prior (None: the row's only one), statistic (None:
+    the route's own) and L meet the route's row of ``_ROUTES`` and the rest the shared rules."""
+    stats, _, L_rule, _ = _ROUTES[method]
+    covered = [s for p, ps in stats.items() if p == prior or prior is None and len(stats) == 1
+               for s in ps]
+    if not covered or statistic not in (None, *covered):
+        raise InvalidParameterError(f"the {method} route computes {stats}, not statistic "
+                                    f"{statistic!r} on prior {prior!r}")
     L_rule.check("L", L)
     SIZE.check("n", n)
     SIZE.check("budget", budget)
     NONNEGATIVE.check("lam", lam)
     D_rule.check("D", D)
+    return covered[0] if statistic is None else statistic
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -284,8 +308,7 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
     largest array; an n whose sort key would pass int64 (L >= 3, n above
     about 2.1e6) raises :class:`ResourceLimitError` as well.
     """
-    _check_statistic(statistic)
-    _check_route_args(L, n, lam, D, budget)
+    statistic = _check_route_args("exact", None, statistic, L, n, lam, D, budget)
     total = math.comb(n + L - 1, L - 1)
     if total > budget:
         raise ResourceLimitError(f"{total} count vectors exceed the budget of {budget}")
@@ -342,8 +365,7 @@ def ldlr_bruteforce_signals(L: int, n: int, lam, D: int, exact: bool = True,
     or a 2s past int64 raises :class:`ResourceLimitError` before any array
     is built, whatever the ``budget``.
     """
-    _check_statistic(statistic)
-    _check_route_args(L, n, lam, D, budget)
+    statistic = _check_route_args("brute", None, statistic, L, n, lam, D, budget)
     # the logarithm bounds L^n before the power is built, so a huge n never builds it
     if n * math.log2(L) > 64 or max(L ** n, 2 * L * n * n) > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{L}^{n} assignments pass int64")
@@ -380,9 +402,7 @@ MD_BUDGET = 10 ** 6
 
 def _md_counts(prior: str, L: int, n: int, D: int, budget: int) -> list:
     """:func:`md_count` at every degree 0..D, from one walk over S_n orbits."""
-    if prior not in ("circle", "cyclic"):
-        raise InvalidParameterError(f"unknown prior {prior!r}")
-    _check_route_args(L, n, 0, D, budget, SIZE, COUNT)
+    _check_route_args("md", prior, None, L, n, 0, D, budget, COUNT)
     # entries mod L on the cyclic prior; on the circle |entry| <= L D < modulus / 2
     modulus = L if prior == "cyclic" else 2 * L * D + 1
     orbit = lambda v: tuple(sorted(filter(None, [x % modulus for x in v])))   # nonzeros
@@ -452,11 +472,10 @@ def group_overlap_stat(group: FiniteGroup, irreps: IrrepList, counts):
     dimension.  For every finite group this equals the ``pearson`` count
     statistic, which the tests exercise as a consistency check between the
     representation-based and count-based evaluations.  ``counts`` may be a
-    (..., order) batch; a single count vector gives a float.
+    (..., order) batch; a single count vector gives a float.  ``group`` and ``irreps``
+    meet the group-model rule, as :class:`Model` checks it.
     """
-    if not irreps.is_nonredundant:
-        raise InvalidParameterError("overlap expects a nonredundant irrep list: "
-                                    + irreps._redundancy)
+    Model("group", group=group, irreps=irreps)
     counts = np.asarray(counts, dtype=float)
     total = 0.0
     for irrep in irreps:

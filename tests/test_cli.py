@@ -272,6 +272,7 @@ def test_ldlr_cli_rejects_circle_for_count_routes():
     (["--method", "mc", "--prior", "circle", "--statistic", "pearson"], "statistic",
      "sample_overlaps"),
     (["--method", "mc", "--rational"], "rational", "sample_overlaps"),
+    (["--method", "exact", "--statistic", "chi2"], "statistic", "ldlr_exact_multinomial"),
 ])
 def test_ldlr_cli_refuses_what_the_route_does_not_compute(monkeypatch, capsys, argv, field,
                                                           route):

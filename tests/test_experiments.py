@@ -1,9 +1,10 @@
+import importlib
 import json
 import math
 
 import pytest
 
-from groupsynch import experiments
+from groupsynch import experiments, ldlr
 from groupsynch.bounds import BoundCheck
 from groupsynch.eigen import _blas_threads
 from groupsynch.errors import (ConfigError, InvalidParameterError, NumericalOverflowError,
@@ -229,16 +230,59 @@ def test_ldlr_sweep_brute_is_held_to_the_enumeration_budget():
         run(cfg)
 
 
+_ROUTE_PRIORS = [(method, prior) for method, (stats, *_) in ldlr._ROUTES.items()
+                 for prior in stats]
+
+
 @pytest.mark.parametrize("method, prior, statistic", [
-    (method, prior, statistic) for method, (stats, _, _) in experiments._ROUTES.items()
-    for prior in stats for statistic in (None, *stats[prior])])
+    (method, prior, statistic) for method, prior in _ROUTE_PRIORS
+    for statistic in (None, *ldlr._ROUTES[method][0][prior])])
 def test_each_route_reports_the_statistic_of_the_route_table(method, prior, statistic):
     # the routes stamp their own params, so this ties the table to what they compute
-    stats, rational, _ = experiments._ROUTES[method]
+    stats, rational, *_ = ldlr._ROUTES[method]
     rep = experiments._ldlr_report(method, prior, 2, 3, 0.5, 2, exact=rational,
                                    statistic=statistic, samples=200, seed=1,
                                    budgets={"enumeration": 10 ** 4})
     assert rep.params["statistic"] == (statistic or stats[prior][0])
+
+
+@pytest.mark.parametrize("method, prior", _ROUTE_PRIORS)
+@pytest.mark.parametrize("L", [-1, 0, 1, 2, 3, 2.5, True, "3", 10 ** 30 + 0.5])
+def test_each_route_and_the_config_check_refuse_the_L_its_row_refuses(method, prior, L):
+    _, _, L_rule, call = ldlr._ROUTES[method]
+    try:        # mc's rule is its model's
+        L_rule.check("L", L) if L_rule is not None else Model.from_name(prior, L)
+        refused = False
+    except InvalidParameterError:
+        refused = True
+    route = lambda: call(prior=prior, L=L, n=3, lam=0.5, D=1, exact=False, statistic=None,
+                         samples=100, seed=1, budgets={})
+    config = lambda: ExperimentConfig.from_dict({
+        "kind": "ldlr-sweep", "seed": 1,
+        "params": {"prior": prior, "methods": [method], "L_grid": [L], "mc_samples": 100}})
+    if refused:
+        with pytest.raises(InvalidParameterError):
+            route()
+        with pytest.raises(ConfigError) as exc:
+            config()
+        assert exc.value.field == "params.L_grid"
+    else:
+        assert route().terms[0] == 1.0
+        config()
+
+
+@pytest.mark.parametrize("method, name", [
+    ("exact", "ldlr_exact_multinomial"), ("brute", "ldlr_bruteforce_signals"),
+    ("md", "ldlr_from_md"), ("mc", "ldlr_montecarlo_overlap")])
+def test_ldlr_report_runs_the_route_bound_on_the_ldlr_module(monkeypatch, method, name):
+    # the table reaches each route through the module attribute when it runs, as a
+    # tracer or a test that rebinds it expects
+    ran = []
+    monkeypatch.setattr(ldlr, name, lambda *args, **kwargs: ran.append(args) or "rebound")
+    prior = next(iter(ldlr._ROUTES[method][0]))
+    assert experiments._ldlr_report(method, prior, 3, 4, 0.5, 2, exact=False, statistic=None,
+                                    samples=100, seed=1, budgets={}) == "rebound"
+    assert len(ran) == 1
 
 
 def test_phase_diagram_markers(tmp_path):
@@ -270,6 +314,31 @@ def test_phase_diagram_scales_one_report_per_order():
         else:
             rep = ldlr_montecarlo_overlap(Model("cyclic", L=L, snr=snr), n, D, 20000, seed=1)
         assert row["ldlr_cumulative"] == pytest.approx(float(rep.cumulative), rel=1e-14)
+
+
+def test_phase_diagram_calibrates_one_threshold_per_order(monkeypatch):
+    detect = importlib.import_module("groupsynch.detect")  # the package exports detect()
+    params = {"L_grid": [3, 5], "snr_grid": [0.6, 1.4], "n": 12, "trials": 4, "power_n": 20}
+    calibrated, curves = [], []
+    calibrate, curve = detect.calibrate_threshold, experiments.power_curve
+    monkeypatch.setattr(detect, "calibrate_threshold",
+                        lambda model, *a, **k: calibrated.append(model.L) or calibrate(model, *a, **k))
+    monkeypatch.setattr(experiments, "power_curve",
+                        lambda *a, **k: curves.append(curve(*a, **k)) or curves[-1])
+    rows = run(ExperimentConfig.from_dict({"kind": "phase-diagram", "seed": 3,
+                                           "params": params})).rows
+    assert calibrated == [3, 5]
+    for L, powers in zip(params["L_grid"], curves):
+        assert len({pw["threshold"] for pw in powers}) == 1
+        # one power curve per (L, snr) calibrates the same threshold, so type1 stays;
+        # the first snr's power draws keep their stream, the later ones move
+        for i, (row, snr) in enumerate(zip([r for r in rows if r["L"] == L], params["snr_grid"])):
+            alone = detect.power_curve(Model("cyclic", L=L, snr=snr), 20, [snr], 4, seed=3)[0]
+            assert alone["threshold"] == powers[0]["threshold"]
+            assert row["type1"] == alone["type1"] == powers[i]["type1"]
+            assert row["power"] == powers[i]["power"]
+            if i == 0:
+                assert row["power"] == alone["power"]
 
 
 @pytest.mark.parametrize("snr", [-1.0, math.nan])

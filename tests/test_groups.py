@@ -202,6 +202,27 @@ def test_tables_of_any_integer_dtype_are_accepted(dtype):
     assert np.array_equal(group.inverse, want.inverse) and group.identity == 0
 
 
+@pytest.mark.parametrize("mul", [np.array([[0, 1], [1, 2]]), np.array([[0, -1], [-1, 0]], np.int8),
+                                 np.array([[0, 2 ** 64 - 1], [2 ** 64 - 1, 0]], np.uint64)])
+def test_integer_arrays_out_of_range_are_refused(mul):
+    with pytest.raises(InvalidParameterError, match="element index"):
+        FiniteGroup(mul)
+
+
+def test_an_integer_table_is_checked_without_an_object_copy():
+    # its extremes decide its range; a per-entry walk of Python ints would peak near 7x
+    L = 400
+    table = (np.arange(L)[:, None] + np.arange(L)[None, :]) % L
+    tracemalloc.start()
+    try:
+        group = FiniteGroup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * table.nbytes
+    assert group.mul is not table and table.flags.writeable
+
+
 @pytest.mark.parametrize("name", ["cyclic(2)", "cyclic(7)", "cyclic(12)", "dihedral(3)",
                                   "dihedral(4)", "dihedral(6)", "quaternion8"])
 def test_relabelled_catalog_tables_give_identity_and_inverses(name):

@@ -245,6 +245,27 @@ def test_exact_routes_reject_bad_snr(lam):
             route()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ldlr_exact_multinomial(3, 4, 0.5, 2, statistic="chi2"),
+    lambda: ldlr_exact_multinomial(3, 4, 0.5, 2, exact=True, statistic=["pearson"]),
+    lambda: ldlr_bruteforce_signals(3, 4, 0.5, 2, statistic="chi2"),
+    lambda: md_count("sphere", 3, 4, 2),
+    lambda: md_count(["circle"], 3, 4, 2),
+    lambda: ldlr_from_md(None, 3, 4, 0.5, 2),
+], ids=["exact-statistic", "exact-statistic-list", "brute-statistic", "md-prior",
+        "md-prior-list", "md-prior-none"])
+def test_routes_refuse_what_their_row_does_not_cover(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+def test_a_route_given_no_statistic_computes_its_own():
+    for route in (ldlr_exact_multinomial, ldlr_bruteforce_signals):
+        rep = route(3, 4, 0.5, 2, exact=True, statistic=None)
+        assert rep.params["statistic"] == ldlr._ROUTES["exact"][0]["cyclic"][0] == "pearson"
+        assert rep.terms == route(3, 4, 0.5, 2, exact=True).terms
+
+
 def test_enumeration_budget_enforced():
     with pytest.raises(ResourceLimitError):
         ldlr_exact_multinomial(3, 10 ** 5, 0.5, 2, budget=10 ** 4)

@@ -596,6 +596,20 @@ def test_group_model_checks_its_irrep_list():
         sample_gsynch_group(group, other.nonredundant(), 1.0, 5, seed=0)
 
 
+@pytest.mark.parametrize("irreps", [
+    build_cyclic(3)[1].nonredundant(),
+    IrrepList(build_cyclic(4)[1].nonredundant().entries + build_cyclic(3)[1].nonredundant().entries),
+], ids=["cyclic(3)-list", "mixed-orders"])
+def test_overlap_refuses_irreps_of_another_order_as_the_group_model_does(irreps):
+    # the overlap checks its irreps by the group-model rule, so neither case reaches NumPy
+    group, _ = build_cyclic(4)
+    for refused in (lambda: Model("group", group=group, irreps=irreps),
+                    lambda: group_overlap_stat(group, irreps, np.ones(group.order)),
+                    lambda: group_overlap_stat(group, irreps, np.ones((3, group.order)))):
+        with pytest.raises(InvalidParameterError, match="irrep size does not match group order"):
+            refused()
+
+
 @pytest.mark.parametrize("name, drop, named", [
     ("dihedral(3)", 0, "entry 0 is the trivial irrep"),
     ("cyclic(6)", 1, "entries 0 and 4 form a conjugate pair")])
