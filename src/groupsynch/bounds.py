@@ -140,7 +140,7 @@ def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha) -> np.ndarray
     terms over all exponents, shared by every exponent, and one
     :func:`_exact_row_sums` call per chunk over its rows for all exponents at
     once (pmf 0 past m_i)."""
-    from scipy.stats import binom   # here: at module level it doubles the import time
+    from scipy.stats import binom   # on first use, like every SciPy subpackage the package calls
     exponents = np.ravel(two_alpha)
     rows = max(1, _CHUNK_ENTRIES // ((int(m.max()) + 1) * len(exponents)))
     out = []

@@ -374,7 +374,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except GroupsynchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERT
+        # a refused argument is a configuration error, as the same value in a config is
+        return EXIT_CONFIG if isinstance(exc, InvalidParameterError) else EXIT_ASSERT
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Small matrices go through the dense LAPACK solver; large ones through
 Lanczos (ARPACK) with a fixed deterministic start vector, so results are
-reproducible run to run.
+reproducible run to run.  The dense path is NumPy's; the Lanczos path
+imports ``scipy.sparse.linalg`` (and with it ``scipy.linalg``) on its first
+call, inside the one-thread scope, so ``import groupsynch`` loads neither.
 
 Both paths run with the bundled OpenBLAS libraries limited to one thread,
 and so does every other public call of the package that reaches BLAS: the
@@ -33,7 +35,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._rules import NONNEGATIVE, SIZE
 from .errors import InvalidParameterError, NonConvergenceError
@@ -190,6 +191,7 @@ def top_eigenvalue(h: np.ndarray, tol: float = 1e-8, maxiter: int = None) -> flo
     if tol >= 1e-4:
         h = h.astype(np.complex64 if np.iscomplexobj(h) else np.float32)
         v0 = v0.astype(np.float32)
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     try:
         vals = eigsh(h, k=1, which="LA", tol=tol, v0=v0,
                      maxiter=maxiter, return_eigenvectors=False)

@@ -23,6 +23,8 @@ Routes:
 
   * :func:`ldlr_exact_multinomial` sums over the law of Q = sum n_g^2, the
     only way both statistics depend on the counts (rationals or log floats).
+    Its float path is the one SciPy user here: it imports ``scipy.special``
+    (for ``gammaln``) on its first call, so ``import groupsynch`` does not.
     The law comes from a dynamic programme over cells that sorts each cell's
     states on one int64 key; the float path reduces a block of degrees at
     once with one log-sum-exp along Q.  That log-sum-exp is local
@@ -61,7 +63,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._rules import COUNT, NONNEGATIVE, ORDER, REAL, SIZE, integer
 from .eigen import _single_thread_blas
@@ -258,6 +259,7 @@ def _occupancy_law(L: int, n: int, exact: bool):
     if exact:
         weight, merge = np.array([1], dtype=object), np.add
     else:
+        from scipy.special import gammaln
         log_fact = gammaln(np.arange(n + 1) + 1.0)
         weight, merge = np.zeros(1), np.logaddexp
     mass = q = np.zeros(1, dtype=np.int64)
@@ -327,6 +329,7 @@ def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,
             power = power * twice_s
         return LdlrReport(_terms(moments, lam, n, True), "exact-multinomial", params)
 
+    from scipy.special import gammaln
     pos = twice_s > 0      # never empty: all mass in one cell gives s > 0
     logs, logw = np.log(0.5 * twice_s[pos]), weight[pos]
     log_lam = np.log(float(lam)) if lam > 0 else -np.inf

@@ -19,10 +19,15 @@ from groupsynch.bounds import (_centered_binomial_moments, _clt_checks, _partial
 from groupsynch.errors import InvalidParameterError, NumericalOverflowError, ResourceLimitError
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone about doubles the package's import time; bounds loads it on use
+@pytest.mark.parametrize("subpackage", ["scipy.stats", "scipy.special", "scipy.sparse",
+                                        "scipy.linalg"])
+@pytest.mark.parametrize("entry", ["groupsynch", "groupsynch.cli"])
+def test_import_loads_no_scipy_subpackage(entry, subpackage):
+    # together they more than double the import time; each loads on first use: scipy.stats
+    # in bounds, scipy.special on the float LDLR paths, ARPACK (scipy.sparse, scipy.linalg)
+    # on the Lanczos path
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(groupsynch.__file__))}
-    code = "import sys, groupsynch; sys.exit('scipy.stats' in sys.modules)"
+    code = f"import sys, {entry}; sys.exit({subpackage!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

@@ -259,6 +259,19 @@ def test_ldlr_cli_reads_no_budget_from_the_environment(monkeypatch):
                  "--lambda", "0.5", "--D", "2"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["ldlr", "--method", "exact", "--L", "1", "--n", "4", "--lambda", "0.5", "--D", "2"],
+    ["md-count", "--prior", "cyclic", "--L", "0", "--n", "4", "--D", "2"],
+    ["simulate", "--model", "cyclic", "--L", "1", "--n", "4"],
+])
+def test_a_refused_argument_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    # the exit code a suite config gives the same value
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: L must be an integer >= ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_ldlr_cli_rejects_circle_for_count_routes():
     assert main(["ldlr", "--method", "exact", "--prior", "circle", "--L", "2",
                  "--n", "4", "--lambda", "0.5", "--D", "2"]) == 2

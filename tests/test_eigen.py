@@ -1,11 +1,14 @@
 """The one-thread OpenBLAS scope around every BLAS-reaching public call."""
+import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+import scipy.sparse.linalg
 from scipy.sparse.linalg import eigsh
 
 from groupsynch import eigen, ldlr, models
@@ -63,7 +66,8 @@ def test_solvers_run_inside_the_scope(n, two_threads, monkeypatch):
             return solver(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(eigen, "eigsh", recording(eigsh))
+    # top_eigenvalue imports eigsh at call time, so it reads the patched attribute
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording(eigsh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     h = _symmetric(n, 1)
     eigen.top_eigenvalue(h)
@@ -91,6 +95,30 @@ def test_lanczos_matches_unscoped_eigsh_bit_for_bit(two_threads):
     direct = eigsh(h, k=1, which="LA", tol=1e-8, v0=eigen._start_vector(400),
                    return_eigenvectors=False)
     assert eigen.top_eigenvalue(h) == float(direct[0])
+
+
+def test_lanczos_loads_arpack_on_first_use_inside_the_scope():
+    # a fresh process: importing eigen leaves scipy.sparse out, the first Lanczos call
+    # loads it inside the one-thread scope, restores the thread counts it found and gives
+    # the value this process computes
+    code = ("import json, sys\n"
+            "from groupsynch import eigen\n"
+            "from groupsynch.rng import make_rng\n"
+            "libs = eigen._openblas_libraries()\n"
+            "for lib in libs:\n"
+            "    lib.set_threads(2)\n"
+            "before = ['scipy.sparse' in sys.modules, [lib.get_threads() for lib in libs]]\n"
+            "a = make_rng(5, 0).standard_normal((300, 300))\n"
+            "value = eigen.top_eigenvalue(a + a.T)\n"
+            "print(json.dumps([before, ['scipy.sparse.linalg' in sys.modules, "
+            "[lib.get_threads() for lib in libs]], value]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(eigen.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    before, after, value = json.loads(out)
+    assert before == [False, [2] * len(LIBS)]
+    assert after == [True, [2] * len(LIBS)]
+    assert value == eigen.top_eigenvalue(_symmetric(300, 5))
 
 
 def test_nested_scopes_restore_only_on_the_outermost_exit(two_threads):

@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -381,6 +385,23 @@ def test_chunked_degrees_equal_one_chunk(monkeypatch, rows):
         assert blocks[0] == (1, len(q))
         assert [r for r, _ in blocks[1:]] == [rows] * (60 // rows) + [60 % rows] * (60 % rows > 0)
         assert all(r * v <= ldlr._CHUNK_ENTRIES for r, v in blocks[1:])
+
+
+def test_the_float_route_loads_scipy_special_on_first_use():
+    # a fresh process: importing ldlr leaves scipy.special out, the first float call loads
+    # it (and not ARPACK's scipy.sparse) and gives the terms this process computes
+    code = ("import json, sys\n"
+            "from groupsynch import ldlr\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "terms = ldlr.ldlr_exact_multinomial(3, 12, 0.9, 6).terms\n"
+            "print(json.dumps([before, 'scipy.special' in sys.modules, "
+            "'scipy.sparse' in sys.modules, terms]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ldlr.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    before, after, sparse, terms = json.loads(out)
+    assert (before, after, sparse) == (False, True, False)
+    assert terms == list(ldlr_exact_multinomial(3, 12, 0.9, 6).terms)
 
 
 def test_local_logsumexp_equals_scipy_on_every_block_of_acceptance_test_04(monkeypatch):
