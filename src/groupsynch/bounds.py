@@ -8,13 +8,14 @@ two moment primitives:
     E |sum X_i|^(2a)  <=  4 * 2^a * Gamma(2a + 1) * sigma^(2a) * n^a,
     read off the centered-binomial moments E |Binomial(m, p) - m p|^(2a)
     of :func:`_centered_binomial_moments`.  That primitive computes each
-    binomial pmf row once for any number of exponents, so ``_clt_checks``,
-    which the bound suite calls once per (distribution, n), checks every
-    alpha of a grid from one row, with the same left sides bit for bit.  Its
-    sums are exact and rounded once, as ``math.fsum``'s are: rows of at least
-    ``_FSUM_BELOW`` entries add their mantissas in integer limbs, shorter
-    rows, where ``fsum`` is faster, go to ``fsum``, and both give the same
-    bits (:func:`_exact_row_sums`).
+    binomial pmf row once for any number of exponents, with the pmf ufunc of
+    ``scipy.special`` (loaded on first use; ``scipy.stats`` never is), so
+    ``_clt_checks``, which the bound suite calls once per (distribution, n),
+    checks every alpha of a grid from one row, with the same left sides bit
+    for bit.  Its sums are exact and rounded once, as ``math.fsum``'s are:
+    rows of at least ``_FSUM_BELOW`` entries add their mantissas in integer
+    limbs, shorter rows, where ``fsum`` is faster, go to ``fsum``, and both
+    give the same bits (:func:`_exact_row_sums`).
 
   * :func:`check_t_recursion` — the one-variable elimination step for
     moments of multinomial counts.  With T_{k,alpha} the product of the
@@ -136,18 +137,25 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
 def _centered_binomial_moments(m: np.ndarray, p: float, two_alpha) -> np.ndarray:
     """E |Binomial(m_i, p) - m_i p|^a for each m_i and each exponent a of
     ``two_alpha`` (a scalar or a list), exactly, of shape m.shape + shape of
-    ``two_alpha``: one binom.pmf call per chunk of about ldlr._CHUNK_ENTRIES
-    terms over all exponents, shared by every exponent, and one
-    :func:`_exact_row_sums` call per chunk over its rows for all exponents at
-    once (pmf 0 past m_i)."""
-    from scipy.stats import binom   # on first use, like every SciPy subpackage the package calls
+    ``two_alpha``: one binomial pmf row block per chunk of about
+    ldlr._CHUNK_ENTRIES terms over all exponents, shared by every exponent,
+    and one :func:`_exact_row_sums` call per chunk over its rows for all
+    exponents at once.  The pmf is ``scipy.special``'s ``_binom_pmf`` ufunc,
+    the one ``scipy.stats.binom.pmf`` dispatches to, finished as ``binom.pmf``
+    finishes it: 0 past m_i (where the ufunc gives NaN) and clipped to [0, 1]
+    (at a tiny p the ufunc gives 1 + 3e-15 at k = 0).  So it has the same bits
+    without loading ``scipy.stats``."""
+    # on first use, like every SciPy subpackage the package calls; a private name
+    # that pyproject's scipy pin covers
+    from scipy.special._ufuncs import _binom_pmf
     exponents = np.ravel(two_alpha)
     rows = max(1, _CHUNK_ENTRIES // ((int(m.max()) + 1) * len(exponents)))
     out = []
     for start in range(0, len(m), rows):
         mc = m[start:start + rows, None]
         ks = np.arange(mc.max() + 1)
-        pmf, dev = binom.pmf(ks, mc, p), np.abs(ks - mc * p)
+        pmf = np.clip(np.where(ks <= mc, _binom_pmf(ks, mc, p), 0.0), 0.0, 1.0)
+        dev = np.abs(ks - mc * p)
         # one block per exponent, each power taken as the scalar power it always was
         terms = np.concatenate([pmf * dev ** a for a in exponents])
         out.append(_exact_row_sums(terms).reshape(len(exponents), -1).T)

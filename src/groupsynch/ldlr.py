@@ -23,10 +23,12 @@ Routes:
 
   * :func:`ldlr_exact_multinomial` sums over the law of Q = sum n_g^2, the
     only way both statistics depend on the counts (rationals or log floats).
-    Its float path is the one SciPy user here: it imports ``scipy.special``
-    (for ``gammaln``) on its first call, so ``import groupsynch`` does not.
+    Its float path imports ``scipy.special`` (for ``gammaln``) on its first
+    call, so ``import groupsynch`` does not.
     The law comes from a dynamic programme over cells that sorts each cell's
-    states on one int64 key; the float path reduces a block of degrees at
+    states on one int64 key.  The last law built is held, with read-only
+    arrays, so back-to-back calls at one (L, n) that vary only lam, D or the
+    statistic build it once.  The float path reduces a block of degrees at
     once with one log-sum-exp along Q.  That log-sum-exp is local
     (``_logsumexp_rows``), and the tests check it ``==`` to SciPy's.  Every
     term is bit for bit what a lexicographic (mass, Q) sort and one SciPy
@@ -56,6 +58,7 @@ polylogarithm that bounds the cumulative below the spectral threshold.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -244,9 +247,15 @@ def _expand_over_mass(rest: np.ndarray):
     return src, np.arange(len(src)) - np.repeat(np.cumsum(rest + 1) - rest - 1, rest + 1)
 
 
+@functools.lru_cache(maxsize=1)
 def _occupancy_law(L: int, n: int, exact: bool):
     """Distinct values of Q = sum_g n_g^2 over the L^n assignments, with weights:
     integer counts of assignments if ``exact``, else log-probabilities.
+
+    The last law built is held, so back-to-back calls at one (L, n) that vary
+    only lam, D or the statistic build it once; both arrays are read-only,
+    since every caller shares them.  One held law is smaller than the peak of
+    the call that built it.
 
     A dynamic programme over cells with state (mass used m, partial Q); each
     cell expands every state over its count c = 0..n-m (the last takes n-m)
@@ -289,7 +298,11 @@ def _occupancy_law(L: int, n: int, exact: bool):
             mass, q = mass[first], q[first]
     # normalising by the weights' own log-sum-exp, rather than subtracting
     # n log L, cancels the rounding of log n! that every log weight shares
-    return q, weight if exact else weight - _logsumexp_rows(weight[None, :])
+    if not exact:
+        weight = weight - _logsumexp_rows(weight[None, :])
+    q.setflags(write=False)
+    weight.setflags(write=False)
+    return q, weight
 
 
 def ldlr_exact_multinomial(L: int, n: int, lam, D: int, exact: bool = False,

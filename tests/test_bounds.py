@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -23,12 +24,30 @@ from groupsynch.errors import InvalidParameterError, NumericalOverflowError, Res
                                         "scipy.linalg"])
 @pytest.mark.parametrize("entry", ["groupsynch", "groupsynch.cli"])
 def test_import_loads_no_scipy_subpackage(entry, subpackage):
-    # together they more than double the import time; each loads on first use: scipy.stats
-    # in bounds, scipy.special on the float LDLR paths, ARPACK (scipy.sparse, scipy.linalg)
-    # on the Lanczos path
+    # together they more than double the import time; each loads on first use: scipy.special
+    # on the float LDLR paths and in the CLT and t-recursion checks, ARPACK (scipy.sparse,
+    # scipy.linalg) on the Lanczos path; scipy.stats is not used at all
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(groupsynch.__file__))}
     code = f"import sys, {entry}; sys.exit({subpackage!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_bound_checks_load_scipy_special_and_not_scipy_stats():
+    # a fresh process: the binomial pmf comes from scipy.special, and the left sides are
+    # those this process computes
+    code = ("import json, sys\n"
+            "from groupsynch.bounds import check_clt_moment_bound, check_t_recursion\n"
+            "clt = check_clt_moment_bound('rademacher', 100, 1.5).lhs\n"
+            "rec = check_t_recursion(3, 6, 2, [1.0, 0.5], 1.0).lhs\n"
+            "print(json.dumps([[m in sys.modules for m in ('scipy.special', 'scipy.stats')], "
+            "clt, rec]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(groupsynch.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded, clt, rec = json.loads(out)
+    assert loaded == [True, False]
+    assert clt == check_clt_moment_bound("rademacher", 100, 1.5).lhs
+    assert rec == check_t_recursion(3, 6, 2, [1.0, 0.5], 1.0).lhs
 
 
 def test_clt_rademacher_alpha_one_exact_values():
@@ -89,13 +108,16 @@ def test_t_recursion_rejects_bad_input(n, alpha, gamma):
         check_t_recursion(4, n, 2, alpha, gamma)
 
 
-@pytest.mark.parametrize("p", [1 / 3, 0.5, 0.9])
+# at p = 1e-300 the pmf ufunc gives 1 + 3e-15 at k = 0, which binom.pmf clips to 1
+@pytest.mark.parametrize("p", [0, 1e-300, 1e-9, 1 / 3, 0.5, 0.9, 1])
 @pytest.mark.parametrize("two_alpha", [0, 1, 2.5, 8])
 def test_centered_binomial_moments_match_per_m_sums(p, two_alpha):
-    ms = np.arange(41)
+    ms = np.append(np.arange(41), 200)
     want = [math.fsum(binom.pmf(np.arange(m + 1), m, p)
                       * np.abs(np.arange(m + 1) - m * p) ** two_alpha) for m in ms]
-    # every m at once, and in an order that puts small m after large
+    # rows of 41 entries go to fsum; next to m = 200 every row has 201 entries and
+    # takes the limb sum.  Every m at once, and in an order that puts small m after large
+    assert _centered_binomial_moments(ms[:-1], p, two_alpha).tolist() == want[:-1]
     assert _centered_binomial_moments(ms, p, two_alpha).tolist() == want
     assert _centered_binomial_moments(ms[::-1], p, two_alpha).tolist() == want[::-1]
 

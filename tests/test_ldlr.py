@@ -379,12 +379,32 @@ def test_chunked_degrees_equal_one_chunk(monkeypatch, rows):
         values = int(((L * q - n * n if statistic == "pearson" else q) > 0).sum())
         monkeypatch.setattr(ldlr, "_CHUNK_ENTRIES", rows * values + values - 1)
         blocks.clear()
+        ldlr._occupancy_law.cache_clear()   # so the call builds, and normalises, its law
         got = ldlr_exact_multinomial(L, n, 0.9, 60, statistic=statistic).terms
         assert got == _reference_terms(L, n, 0.9, 60, law, statistic), statistic
         # the first call normalises the law; the degree blocks follow
         assert blocks[0] == (1, len(q))
         assert [r for r, _ in blocks[1:]] == [rows] * (60 // rows) + [60 % rows] * (60 % rows > 0)
         assert all(r * v <= ldlr._CHUNK_ENTRIES for r, v in blocks[1:])
+
+
+def test_a_held_law_gives_the_terms_of_a_fresh_one():
+    # back-to-back calls at one (L, n) that vary lam, D and the statistic reuse one law
+    calls = [dict(lam=lam, D=D, exact=exact, statistic=statistic)
+             for exact in (False, True)
+             for lam, D, statistic in ((0.9, 3, "pearson"), (1.2, 60, "all_frequencies"),
+                                       (0.5, 7, "pearson"))]
+    held = [ldlr_exact_multinomial(3, 40, **c).terms for c in calls]
+    for c, terms in zip(calls, held):
+        ldlr._occupancy_law.cache_clear()
+        assert ldlr_exact_multinomial(3, 40, **c).terms == terms, c
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_held_law_is_read_only(exact):
+    for array in ldlr._occupancy_law(3, 9, exact):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_the_float_route_loads_scipy_special_on_first_use():
@@ -417,7 +437,8 @@ def test_local_logsumexp_equals_scipy_on_every_block_of_acceptance_test_04(monke
     for n in (50, 100, 200, 400):
         for D, statistic in itertools.product((int(n ** 0.3), 60), ("pearson", "all_frequencies")):
             ldlr_exact_multinomial(3, n, 0.9, D, statistic=statistic)
-    assert len(blocks) >= 2 * 16     # each call: its law, then one block or more
+    # each n: its law once (held for the n's later calls), then one block or more per call
+    assert len(blocks) >= 2 * 16
     for a in blocks:
         got = local(a)
         assert got.tobytes() == logsumexp(a, axis=1).tobytes(), a.shape
